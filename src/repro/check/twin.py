@@ -1,12 +1,12 @@
 """The differential twin oracle: shadow-execute the reference allocator.
 
-PR 2's incremental core keeps a retained full-scan reference mode
-(``incremental=False``) proven bit-identical by offline equivalence tests.
-The twin oracle turns that proof into an always-on detector: on a sampled
-fraction of scheduler invocations it reconstructs the *reference* network
-from the primary's materialized state, replays the (deep-copied) scheduler
-against it, and demands rate-for-rate agreement with the allocation the
-incremental path just produced.
+The incremental core keeps a retained full-scan reference mode
+(``allocation="reference"``) proven bit-identical by offline equivalence
+tests. The twin oracle turns that proof into an always-on detector: on a
+sampled fraction of scheduler invocations it reconstructs the *reference*
+network from the primary's materialized state, replays the (deep-copied)
+scheduler against it, and demands rate-for-rate agreement with the
+allocation the incremental path just produced.
 
 Reconstruction, not mirroring: the twin network is built fresh per sampled
 invocation from ``active_states()`` -- flows re-injected at their original
@@ -21,14 +21,17 @@ profiling counters, coordinator logs) are not perturbed by the shadow
 invocation; deterministic schedulers replay identically from equal state.
 
 The twin's reconstruction also doubles as a *kernel* differential: by
-default it runs the scalar waterfilling kernel (``twin_kernel="scalar"``)
-regardless of the primary's allocation mode, so an engine running the
-vectorized kernel (``allocation="vector"`` or auto-selected at scale)
-gets a scalar-vs-vector cross-check on every sampled invocation -- the
-two implementations must agree bit for bit under ``twin_tol=0``. Setting
-``twin_kernel=vector`` flips the direction (vector twin against a scalar
-primary); when numpy is unavailable the twin silently falls back to the
-scalar kernel, which is always present.
+default (``twin_kernel="scalar"``) it is rebuilt with
+``allocation="reference"`` -- full scans and the scalar waterfilling
+kernel -- regardless of the primary's allocation mode, so an engine
+running the vectorized kernel (``allocation="vector"`` or auto-selected
+at scale) gets a scalar-vs-vector cross-check on every sampled
+invocation -- the two implementations must agree bit for bit under
+``twin_tol=0``. Setting ``twin_kernel=vector`` flips the direction: the
+twin is rebuilt with ``allocation="vector"`` and checked against a
+scalar primary. The twin only injects, syncs and reads, and a freshly
+rebuilt twin starts from zero link loads, so its mode changes which
+kernel runs and nothing else.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from typing import Dict, List
 
 from ..scheduling.base import SchedulerView
 from ..simulator.network import NetworkModel
-from ..simulator.vector import HAVE_NUMPY
 from .config import CheckConfig
 from .violations import Violation
 
@@ -97,15 +99,13 @@ class TwinOracle:
         drain history.
         """
         network.sync_active()
-        twin_vector = "off"
-        if self.config.twin_kernel == "vector" and HAVE_NUMPY:
-            twin_vector = "on"
         reference = NetworkModel(
             network.topology,
             network.router,
             strict=False,
-            incremental=False,
-            vector=twin_vector,
+            allocation=(
+                "vector" if self.config.twin_kernel == "vector" else "reference"
+            ),
         )
         for state in network.active_states():
             flow_id = state.flow.flow_id

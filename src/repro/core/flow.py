@@ -13,6 +13,7 @@ single :class:`Flow` description can be replayed under many schedulers.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -117,8 +118,10 @@ class Flow:
     tag: str = ""
 
     def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"flow size must be positive, got {self.size!r}")
+        if not 0.0 < self.size < math.inf:
+            raise ValueError(
+                f"flow size must be positive and finite, got {self.size!r}"
+            )
         if self.src == self.dst:
             raise ValueError(
                 f"flow endpoints must differ, got src == dst == {self.src!r}"

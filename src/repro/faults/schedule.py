@@ -58,6 +58,7 @@ to its *nominal* (construction-time) capacity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -193,9 +194,12 @@ def _parse_linkspec(text: str) -> Tuple[Tuple[str, str], ...]:
 
 def _parse_float(value: str, what: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise FaultSpecError(f"bad {what} {value!r}") from None
+    if not math.isfinite(number):
+        raise FaultSpecError(f"{what} must be finite, got {value!r}")
+    return number
 
 
 def _expand_clause(

@@ -14,7 +14,7 @@ constraints. This module implements the building blocks:
   current by the network model, so feasibility checks and utilization
   sampling cost O(links touched) instead of O(flows x path length).
 * :class:`DemandSet` -- a demand list that carries a kernel hint; when it
-  asks for the vector path (and numpy is available), :func:`max_min_fair`
+  asks for the vector path, :func:`max_min_fair`
   and :func:`feasible` dispatch to the dense-array kernels in
   :mod:`repro.simulator.vector`, which are bit-identical to the scalar
   ones by a shared reduction order (see that module's docstring).
@@ -30,6 +30,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..core.units import EPS
 from ..topology.graph import Link
+from .vector import DenseIncidence, feasible_vector, max_min_fair_vector
 
 
 @dataclass(frozen=True)
@@ -77,21 +78,10 @@ class DemandSet(list):
         self._incidence = None
 
     def incidence(self):
-        """The cached dense interning (requires numpy)."""
+        """The cached dense interning."""
         if self._incidence is None:
-            from .vector import DenseIncidence
-
             self._incidence = DenseIncidence(self)
         return self._incidence
-
-
-def _vector_dispatch(demands) -> bool:
-    """Should this call use the dense kernels?"""
-    if not getattr(demands, "use_vector", False):
-        return False
-    from .vector import HAVE_NUMPY
-
-    return HAVE_NUMPY
 
 
 def link_capacities(demands: Iterable[FlowDemand]) -> Dict[Tuple[str, str], float]:
@@ -109,9 +99,7 @@ def feasible(
     tolerance: float = 1e-6,
 ) -> bool:
     """True when ``rates`` respects every link capacity (with slack)."""
-    if _vector_dispatch(demands):
-        from .vector import feasible_vector
-
+    if getattr(demands, "use_vector", False):
         return feasible_vector(demands.incidence(), rates, tolerance)
     usage: Dict[Tuple[str, str], float] = {}
     capacities = link_capacities(demands)
@@ -303,9 +291,7 @@ def max_min_fair(
     """
     if not demands:
         return {}
-    if _vector_dispatch(demands):
-        from .vector import max_min_fair_vector
-
+    if getattr(demands, "use_vector", False):
         return max_min_fair_vector(demands.incidence(), available)
     capacities = dict(available) if available is not None else link_capacities(demands)
     # Links outside `available` (when provided) fall back to full capacity.

@@ -59,10 +59,9 @@ class Engine:
         device_slots=1,
         scheduling_interval: Optional[float] = None,
         instrumentation=None,
-        incremental: bool = True,
         sanitizer=None,
         faults=None,
-        allocation: Optional[str] = None,
+        allocation: str = "auto",
         batch_dispatch: bool = True,
     ) -> None:
         """``device_slots`` sets per-device MIG slot counts: an int applies
@@ -83,13 +82,6 @@ class Engine:
         link-utilization sampling. ``None`` (default) records nothing
         and costs one attribute check per hook site.
 
-        ``incremental``: ``True`` (default) runs the O(changed flows)
-        hot path -- finish-time heap, residual link accounting, persistent
-        scheduler view, per-group undated index. ``False`` keeps the
-        exact same semantics but finds work by full scans (the
-        pre-refactor cost model); it exists for equivalence tests and the
-        ``bench_scale`` speedup report.
-
         ``sanitizer``: a :class:`repro.check.Sanitizer` (or a
         ``REPRO_CHECK``-style spec string) checking runtime invariants at
         event boundaries. ``None`` (default) consults the process-wide
@@ -99,17 +91,19 @@ class Engine:
         regardless of the process default. Uses the same zero-overhead
         hook pattern as ``instrumentation``.
 
-        ``allocation``: selects the engine's allocation mode explicitly,
-        overriding ``incremental``. ``"reference"`` is the full-scan
-        scalar core; ``"incremental"`` the dirty-set scalar core;
-        ``"vector"`` the dirty-set core with the numpy dense max-min
-        kernel and bulk rate application (raises if numpy is missing).
-        ``None``/``"auto"`` (default) keeps ``incremental``'s choice and,
-        in incremental mode, auto-selects the vector kernel above
+        ``allocation``: the allocation mode, a cost model only -- every
+        mode is bit-identical (same traces, same rates at every
+        invocation), enforced by the twin oracle and the equivalence
+        suites. ``"reference"`` finds work by full scans with the scalar
+        kernel (the pre-refactor cost model, kept for equivalence tests
+        and the ``bench_scale`` speedup report); ``"incremental"`` runs
+        the O(changed flows) hot path -- finish-time heap, residual link
+        accounting, persistent scheduler view, per-group undated index --
+        with the scalar kernel; ``"vector"`` adds the numpy dense max-min
+        kernel and bulk rate application; ``"auto"`` (default) runs
+        incremental and switches to the vector kernel at
         :data:`~repro.simulator.vector.VECTOR_AUTO_THRESHOLD` active
-        flows. All modes are bit-identical -- same traces, same rates at
-        every invocation -- enforced by the twin oracle and the
-        equivalence suites; only the cost model differs.
+        flows. Passed straight through to :class:`NetworkModel`.
 
         ``batch_dispatch``: ``True`` (default) absorbs every event
         sharing a timestamp into one round -- one scheduler invocation,
@@ -130,31 +124,17 @@ class Engine:
         """
         self.topology = topology
         self.scheduler = scheduler
-        if allocation in (None, "auto"):
-            vector = "auto" if incremental else "off"
-            resolved = "auto" if incremental else "reference"
-        elif allocation == "reference":
-            incremental, vector, resolved = False, "off", "reference"
-        elif allocation == "incremental":
-            incremental, vector, resolved = True, "off", "incremental"
-        elif allocation == "vector":
-            incremental, vector, resolved = True, "on", "vector"
-        else:
-            raise ValueError(
-                f"allocation must be one of 'auto', 'reference', "
-                f"'incremental', 'vector', got {allocation!r}"
-            )
-        #: Resolved allocation mode (cost model only; results identical).
-        self.allocation = resolved
-        self.incremental = incremental
         self.batch_dispatch = batch_dispatch
         self.network = NetworkModel(
             topology,
             router or ShortestPathRouter(topology),
             strict=strict_rates,
-            incremental=incremental,
-            vector=vector,
+            allocation=allocation,
         )
+        #: Allocation mode (cost model only; results identical).
+        self.allocation = allocation
+        #: The network's resolved full-scan flag, for the hot paths.
+        self._scan = self.network._scan
         self.events = EventQueue()
         self.devices: Dict[str, Device] = {}
         self._device_slots = device_slots
@@ -374,7 +354,7 @@ class Engine:
                 # A freshly-pinned reference also dates earlier members:
                 # exactly the group's undated states, tracked per group.
                 undated = self._undated.pop(flow.group_id, None)
-                if not self.incremental:
+                if self._scan:
                     # Legacy cost model: find them by scanning all actives
                     # (metadata-only, so no drain materialization).
                     for other in self.network.iter_active():
@@ -520,7 +500,7 @@ class Engine:
 
     def _reschedule(self) -> None:
         cause = self._primary_cause()
-        if self.incremental and self._view is not None:
+        if not self._scan and self._view is not None:
             view = self._view.refresh(
                 self.now, cause, self._delta_injected, self._delta_departed
             )
@@ -533,7 +513,7 @@ class Engine:
                 injected_flows=tuple(self._delta_injected),
                 departed_flows=tuple(self._delta_departed),
             )
-            if self.incremental:
+            if not self._scan:
                 self._view = view
         self._delta_injected.clear()
         self._delta_departed.clear()

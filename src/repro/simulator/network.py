@@ -36,8 +36,8 @@ The hot path is O(changed flows) per event, not O(active flows):
   changed; unchanged flows keep their anchors, heap entries, and link
   contributions untouched.
 
-Constructing the model with ``incremental=False`` keeps the exact same
-drain/retire/allocation semantics but finds work by full scans -- the
+Constructing the model with ``allocation="reference"`` keeps the exact
+same drain/retire/allocation semantics but finds work by full scans -- the
 pre-refactor cost model. It exists for the equivalence tests and the
 ``bench_scale`` speedup report.
 """
@@ -49,10 +49,17 @@ import itertools
 from bisect import bisect_left, insort
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.flow import Flow, FlowState
 from ..core.units import EPS
 from ..topology.graph import Link, Topology
 from .allocation import DemandSet, FlowDemand, LinkAccounting, feasible
+from .vector import VECTOR_AUTO_THRESHOLD, VectorAllocation
+
+#: The legal values of the single ``allocation`` option (see
+#: :class:`NetworkModel`).
+ALLOCATION_MODES = ("auto", "reference", "incremental", "vector")
 
 #: Relative slack used when popping heap candidates. Heap keys are float
 #: projections of per-flow finish times; the slack absorbs rounding drift
@@ -89,37 +96,29 @@ class NetworkModel:
         topology: Topology,
         router,
         strict: bool = True,
-        incremental: bool = True,
-        vector="off",
+        allocation: str = "auto",
     ) -> None:
+        if allocation not in ALLOCATION_MODES:
+            raise ValueError(
+                f"allocation must be one of {ALLOCATION_MODES}, got {allocation!r}"
+            )
         self.topology = topology
         self.router = router
         self.strict = strict
-        #: ``False`` switches the scan-based reference data paths in; the
-        #: semantics (and therefore traces) are identical either way.
-        self.incremental = incremental
-        #: Max-min kernel selection: ``"off"`` keeps the scalar kernel,
-        #: ``"on"`` forces the numpy dense kernel, ``"auto"`` switches to
-        #: it above :data:`~repro.simulator.vector.VECTOR_AUTO_THRESHOLD`
-        #: active flows. All choices are bit-identical; the mode travels
-        #: on the :class:`DemandSet` this model hands to schedulers.
-        if vector is True:
-            vector = "on"
-        elif vector is False or vector is None:
-            vector = "off"
-        if vector not in ("off", "on", "auto"):
-            raise ValueError(
-                f"vector must be one of 'off', 'on', 'auto', got {vector!r}"
-            )
-        if vector == "on":
-            from .vector import HAVE_NUMPY
-
-            if not HAVE_NUMPY:
-                raise RuntimeError(
-                    "vector allocation mode requires numpy, which is not "
-                    "installed; use allocation='incremental' instead"
-                )
-        self.vector_mode = vector
+        #: Allocation mode -- a cost model only; every mode produces the
+        #: same traces bit for bit. ``"reference"`` finds work by full
+        #: scans with the scalar kernel; ``"incremental"`` runs the
+        #: O(changed flows) data paths with the scalar kernel;
+        #: ``"vector"`` adds the numpy dense max-min kernel and bulk rate
+        #: application; ``"auto"`` is incremental and switches the kernel
+        #: to vector at :data:`~repro.simulator.vector.VECTOR_AUTO_THRESHOLD`
+        #: active flows. The kernel choice travels on the
+        #: :class:`DemandSet` this model hands to schedulers.
+        self.allocation = allocation
+        #: Resolved once so the hot paths test a bool, never a string.
+        self._scan = allocation == "reference"
+        self._vector = allocation == "vector"
+        self._vector_auto = allocation == "auto"
         self._active: Dict[int, FlowState] = {}
         self._paths: Dict[int, Tuple[Link, ...]] = {}
         self._completed: Dict[int, FlowState] = {}
@@ -216,8 +215,7 @@ class NetworkModel:
             topology,
             router,
             strict=self.strict,
-            incremental=self.incremental,
-            vector=self.vector_mode,
+            allocation=self.allocation,
         )
         twin.capacity_epoch = self.capacity_epoch
         twin.capacity_lineage = self.capacity_lineage
@@ -481,16 +479,9 @@ class NetworkModel:
 
     def _vector_active(self) -> bool:
         """Does the current kernel decision land on the vector path?"""
-        mode = self.vector_mode
-        if mode == "off":
-            return False
-        from .vector import HAVE_NUMPY, VECTOR_AUTO_THRESHOLD
-
-        if not HAVE_NUMPY:
-            return False
-        if mode == "on":
-            return True
-        return len(self._active) >= VECTOR_AUTO_THRESHOLD
+        return self._vector or (
+            self._vector_auto and len(self._active) >= VECTOR_AUTO_THRESHOLD
+        )
 
     def demands(self) -> DemandSet:
         """Unit-weight demands of every active flow, fid-ascending.
@@ -499,7 +490,7 @@ class NetworkModel:
         back-to-back scheduler reads within a round reuse both the list
         and -- in vector mode -- the dense incidence interning built on
         first kernel dispatch. The kernel hint is stamped at build time
-        from :attr:`vector_mode` (and, in ``auto`` mode, the active flow
+        from :attr:`allocation` (and, in ``auto`` mode, the active flow
         count, which only changes when the revision does).
         """
         rev = self._demands_rev
@@ -544,7 +535,7 @@ class NetworkModel:
         (:meth:`_set_rates_bulk`); the per-flow state mutations it
         performs are identical to this scalar path's.
         """
-        if self.incremental and self._set_rates_bulk(rates):
+        if not self._scan and self._set_rates_bulk(rates):
             return
         changed: List[Tuple[int, FlowState, float]] = []
         for flow_id, state in self._active.items():
@@ -554,7 +545,7 @@ class NetworkModel:
             if rate != state.rate:
                 changed.append((flow_id, state, rate))
 
-        if self.incremental:
+        if not self._scan:
             ok = self._feasible_changed(changed)
         else:
             clean = {fid: rates.get(fid, 0.0) for fid in self._active}
@@ -602,9 +593,7 @@ class NetworkModel:
         scalar path; in lenient mode the method backs off (returns
         ``False``) so the scalar rescale handles them.
         """
-        from .vector import HAVE_NUMPY, VectorAllocation
-
-        if not HAVE_NUMPY or not isinstance(rates, VectorAllocation):
+        if not isinstance(rates, VectorAllocation):
             return False
         cache = self._demands_cache
         if (
@@ -613,8 +602,6 @@ class NetworkModel:
             or rates.incidence is not cache[1]._incidence
         ):
             return False
-        import numpy as np
-
         inc = rates.incidence
         order = self._order
         new = rates.array
@@ -745,7 +732,7 @@ class NetworkModel:
                 return False
             if rate != state.rate:
                 changed.append((flow_id, state, rate))
-        if self.incremental:
+        if not self._scan:
             return self._feasible_changed(changed)
         clean = {fid: rates.get(fid, 0.0) for fid in self._active}
         return feasible(self.demands(), clean, tolerance=1e-6)
@@ -976,7 +963,7 @@ class NetworkModel:
         """Time until the first active flow completes at current rates."""
         active = self._active
         anchors = self._anchor
-        if not self.incremental:
+        if self._scan:
             horizon = float("inf")
             for flow_id in self._order:
                 interval = self._time_to_finish(active[flow_id], anchors[flow_id])
@@ -1024,7 +1011,7 @@ class NetworkModel:
         active = self._active
         anchors = self._anchor
 
-        if self.incremental:
+        if not self._scan:
             repush: List[Tuple[float, int, int]] = []
             for entry in self._pop_candidates(finish_time):
                 flow_id = entry[1]

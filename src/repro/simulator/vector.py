@@ -34,9 +34,7 @@ scalar and vector paths are written against one shared reduction order:
   structured the same way (one subtraction per link per round), so the
   float association matches by construction.
 
-Everything degrades gracefully without numpy: :data:`HAVE_NUMPY` gates
-every dispatch site, and the scalar kernels remain the single source of
-semantics.
+The scalar kernels remain the single source of semantics.
 """
 
 from __future__ import annotations
@@ -44,13 +42,7 @@ from __future__ import annotations
 from collections.abc import Mapping as MappingABC
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via HAVE_NUMPY monkeypatching
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None
-    HAVE_NUMPY = False
+import numpy as np
 
 from ..core.units import EPS
 

@@ -30,6 +30,7 @@ to the direct in-process path (bit-identical to
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
@@ -71,9 +72,9 @@ class RpcSpec:
                 "can never deliver, even with retries)"
             )
         for name in ("delay", "timeout", "backoff"):
-            if getattr(self, name) < 0.0:
+            if not 0.0 <= getattr(self, name) < math.inf:
                 raise RpcSpecError(
-                    f"{name} must be >= 0, got {getattr(self, name)}"
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}"
                 )
         if self.retries < 0:
             raise RpcSpecError(f"retries must be >= 0, got {self.retries}")

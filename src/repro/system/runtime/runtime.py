@@ -68,7 +68,7 @@ from typing import Dict, List, Optional, Tuple
 from ...core.echelonflow import EchelonFlow
 from ...scheduling.base import Scheduler, SchedulerView
 from ...scheduling.fairshare import FairSharingScheduler
-from ..coordinator import Coordinator
+from ..coordinator import CoordinatedScheduler, Coordinator
 from ..messages import ArrangementDescriptor, EchelonFlowRequest, FlowInfo
 from .rpc import RpcChannel, RpcSpec, parse_rpc_spec
 
@@ -388,18 +388,8 @@ class ControlPlaneRuntime:
     # -- scheduling ------------------------------------------------------
 
     def allocate_passive(self, view: SchedulerView) -> Dict[int, float]:
-        """Exactly CoordinatedScheduler.allocate -- the bit-identity path."""
-        merged = dict(view.echelonflows)
-        merged.update(self.coordinator.echelonflows)
-        coordinator_view = SchedulerView(
-            now=view.now,
-            network=view.network,
-            echelonflows=merged,
-            trigger_cause=view.trigger_cause,
-            injected_flows=view.injected_flows,
-            departed_flows=view.departed_flows,
-        )
-        return self.coordinator.allocate(coordinator_view)
+        """The bit-identity path: delegates to CoordinatedScheduler.allocate."""
+        return CoordinatedScheduler(self.coordinator).allocate(view)
 
     def allocate_active(self, view: SchedulerView) -> Dict[int, float]:
         now = view.now

@@ -8,6 +8,7 @@ flow endpoints; switches forward traffic. Routing (path selection) lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -27,10 +28,10 @@ class Link:
     capacity: float
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
+        if not 0.0 < self.capacity < math.inf:
             raise ValueError(
-                f"link {self.src}->{self.dst} capacity must be positive, "
-                f"got {self.capacity}"
+                f"link {self.src}->{self.dst} capacity must be positive and "
+                f"finite, got {self.capacity}"
             )
         if self.src == self.dst:
             raise ValueError(f"self-loop link at {self.src!r}")
@@ -109,9 +110,10 @@ class Topology:
         Unlike construction, a runtime capacity of 0 is legal: it models a
         downed link. Negative capacities are rejected. Returns the link.
         """
-        if capacity < 0:
+        if not 0.0 <= capacity < math.inf:
             raise ValueError(
-                f"link {src}->{dst} capacity must be >= 0, got {capacity}"
+                f"link {src}->{dst} capacity must be finite and >= 0, "
+                f"got {capacity}"
             )
         link = self.link(src, dst)
         link.capacity = capacity

@@ -108,6 +108,8 @@ class TestFaultSpecParsing:
             "crash_scheduler:a-b@1.0",  # crash takes no links
             "crash_scheduler@1.0+2.0",  # crash takes no duration
             "link_down:a-b@1.0+0",  # non-positive duration
+            "link_down:h0-core@nan",  # non-finite time
+            "link_down:h0-core@inf",  # non-finite time
             "",  # no clauses
         ],
     )

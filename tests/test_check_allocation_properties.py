@@ -17,15 +17,21 @@ from repro.check import infeasible_links, unserved_flows
 from repro.core.flow import Flow
 from repro.simulator.allocation import DemandSet, FlowDemand, feasible, max_min_fair
 from repro.simulator.network import NetworkModel
-from repro.simulator.vector import HAVE_NUMPY
 from repro.topology import ShortestPathRouter, big_switch, leaf_spine
 from repro.topology.graph import Link
 
 
-def _network(topology, incremental):
+def _network(topology, allocation):
     return NetworkModel(
-        topology, ShortestPathRouter(topology), strict=False, incremental=incremental
+        topology, ShortestPathRouter(topology), strict=False, allocation=allocation
     )
+
+
+#: Both allocation cores; the ids name whether the incremental data
+#: paths are on (``True``) or the full-scan reference runs (``False``).
+both_cores = pytest.mark.parametrize(
+    "allocation", ["incremental", "reference"], ids=["True", "False"]
+)
 
 
 def _random_walk(network, rng, hosts, steps):
@@ -65,10 +71,10 @@ def _random_walk(network, rng, hosts, steps):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("incremental", [True, False])
-def test_accounting_matches_recompute_big_switch(seed, incremental):
+@both_cores
+def test_accounting_matches_recompute_big_switch(seed, allocation):
     topology = big_switch(6, host_bandwidth=2.0)
-    network = _network(topology, incremental)
+    network = _network(topology, allocation)
     rng = random.Random(seed)
     _random_walk(network, rng, [f"h{i}" for i in range(6)], steps=150)
 
@@ -78,14 +84,14 @@ def test_accounting_matches_recompute_leaf_spine(seed):
     topology = leaf_spine(
         n_leaves=2, hosts_per_leaf=3, host_bandwidth=2.0, oversubscription=2.0
     )
-    network = _network(topology, incremental=True)
+    network = _network(topology, "incremental")
     rng = random.Random(seed)
     _random_walk(network, rng, [f"h{i}" for i in range(6)], steps=120)
 
 
 def test_drain_to_completion_keeps_accounting_clean():
     topology = big_switch(4, host_bandwidth=2.0)
-    network = _network(topology, incremental=True)
+    network = _network(topology, "incremental")
     rng = random.Random(99)
     hosts = [f"h{i}" for i in range(4)]
     now = _random_walk(network, rng, hosts, steps=60)
@@ -104,7 +110,7 @@ def test_drain_to_completion_keeps_accounting_clean():
 
 def test_verify_accounting_detects_tampering():
     topology = big_switch(3, host_bandwidth=2.0)
-    network = _network(topology, incremental=True)
+    network = _network(topology, "incremental")
     network.inject(Flow(src="h0", dst="h1", size=5.0), 0.0)
     state = network.active_states()[0]
     network.set_rates({state.flow.flow_id: 1.0})
@@ -140,7 +146,7 @@ def test_max_min_fair_is_work_conserving_on_random_instances():
     for seed in range(6):
         rng = random.Random(seed)
         topology = big_switch(5, host_bandwidth=1.0 + rng.random() * 3.0)
-        network = _network(topology, incremental=True)
+        network = _network(topology, "incremental")
         hosts = [f"h{i}" for i in range(5)]
         for _ in range(rng.randrange(1, 12)):
             src, dst = rng.sample(hosts, 2)
@@ -155,7 +161,7 @@ def test_max_min_fair_is_work_conserving_on_random_instances():
 
 def test_unserved_flows_flags_idle_capacity():
     topology = big_switch(3, host_bandwidth=2.0)
-    network = _network(topology, incremental=True)
+    network = _network(topology, "incremental")
     network.inject(Flow(src="h0", dst="h1", size=5.0), 0.0)
     demands = _demands(network)
     flow_id = demands[0].flow_id
@@ -181,7 +187,7 @@ def test_unserved_flows_flags_idle_capacity():
 
 def test_infeasible_links_reports_the_overload():
     topology = big_switch(3, host_bandwidth=1.0)
-    network = _network(topology, incremental=True)
+    network = _network(topology, "incremental")
     network.inject(Flow(src="h0", dst="h2", size=5.0), 0.0)
     network.inject(Flow(src="h1", dst="h2", size=5.0), 0.0)
     demands = _demands(network)
@@ -205,9 +211,6 @@ def test_infeasible_links_reports_the_overload():
 # dead links expressed through the ``available`` residual map. Every seed
 # demands *exact* dict equality -- no tolerance -- plus the classic max-min
 # certificate on the shared result.
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-
 
 def _random_kernel_instance(rng):
     """One random waterfilling instance: links, demands, maybe ``available``."""
@@ -285,7 +288,6 @@ def _audit_max_min(demands, rates, available):
         assert certified, f"flow {demand.flow_id} has no max-min bottleneck"
 
 
-@needs_numpy
 def test_vector_kernel_matches_scalar_on_random_instances():
     for seed in range(80):
         rng = random.Random(seed)
@@ -299,7 +301,6 @@ def test_vector_kernel_matches_scalar_on_random_instances():
         _audit_max_min(demands, scalar, available)
 
 
-@needs_numpy
 def test_vector_kernel_degenerate_dead_link_and_zero_cap():
     link = Link("a", "b", 1.0)
     other = Link("b", "c", 2.0)
@@ -319,7 +320,6 @@ def test_vector_kernel_degenerate_dead_link_and_zero_cap():
     _audit_max_min(demands, scalar, available)
 
 
-@needs_numpy
 def test_vector_kernel_all_flows_capped_at_zero():
     link = Link("a", "b", 1.0)
     demands = [FlowDemand(flow_id=i + 1, path=(link,), cap=0.0) for i in range(3)]
@@ -328,7 +328,6 @@ def test_vector_kernel_all_flows_capped_at_zero():
     assert dict(vec.items()) == scalar == {1: 0.0, 2: 0.0, 3: 0.0}
 
 
-@needs_numpy
 def test_vector_allocation_passes_the_sanitizer_helpers():
     # The sanitizer's pure helpers accept a VectorAllocation as-is: the
     # mapping duck-typing means the work-conservation and feasibility
@@ -336,7 +335,7 @@ def test_vector_allocation_passes_the_sanitizer_helpers():
     for seed in (21, 22):
         rng = random.Random(seed)
         topology = big_switch(6, host_bandwidth=1.0 + rng.random() * 3.0)
-        network = _network(topology, incremental=True)
+        network = _network(topology, "incremental")
         hosts = [f"h{i}" for i in range(6)]
         for _ in range(rng.randrange(4, 16)):
             src, dst = rng.sample(hosts, 2)

@@ -168,7 +168,6 @@ def test_twin_kernel_differential(primary, twin_kernel):
     # The scalar-vs-vector kernel identity, re-proven online: the primary
     # allocates with one kernel, the twin's shadow replay with the other,
     # and every sampled invocation must agree at twin_tol=0.
-    pytest.importorskip("numpy")
     engine = Engine(
         big_switch(6, host_bandwidth=4.0),
         FairSharingScheduler(),
@@ -184,23 +183,6 @@ def test_twin_kernel_differential(primary, twin_kernel):
             Flow(src=f"h{src}", dst=f"h{dst}", size=0.5 + rng.random() * 2.0),
             at_time=rng.random() * 1.5,
         )
-    _assert_twin_clean(engine)
-
-
-def test_twin_kernel_vector_degrades_without_numpy(monkeypatch):
-    # twin_kernel=vector on a numpy-less host must fall back to the
-    # scalar replay rather than fail -- mirroring the engine's own
-    # degradation contract.
-    from repro.check import twin as twin_mod
-
-    monkeypatch.setattr(twin_mod, "HAVE_NUMPY", False)
-    engine = Engine(
-        two_hosts(1.0),
-        FairSharingScheduler(),
-        sanitizer="strict:twin=1.0,twin_kernel=vector",
-    )
-    job = build_pipeline_segment("seg", "h0", "h1", [0.0], [2.0], [2.0])
-    job.submit_to(engine)
     _assert_twin_clean(engine)
 
 

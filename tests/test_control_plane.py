@@ -68,6 +68,11 @@ def test_rpc_spec_rejects_bad_values():
         parse_rpc_spec("bogus=1")
     with pytest.raises(RpcSpecError):
         parse_rpc_spec("drop")
+    for bad in ("backoff=inf", "timeout=nan", "delay=nan", "delay=inf"):
+        with pytest.raises(RpcSpecError, match="finite"):
+            parse_rpc_spec(bad)
+    with pytest.raises(RpcSpecError, match="finite"):
+        RpcSpec(timeout=float("inf"))
 
 
 def test_rpc_channel_is_deterministic_per_seed_and_message():

@@ -18,6 +18,18 @@ def test_flow_rejects_nonpositive_size():
         Flow("h0", "h1", -1.0)
 
 
+def test_flow_rejects_infinite_size():
+    # An infinite flow used to "complete" at t=0.
+    with pytest.raises(ValueError, match="finite"):
+        Flow("h0", "h1", float("inf"))
+
+
+def test_flow_rejects_nan_size():
+    # A NaN flow used to surface later as a simulation deadlock.
+    with pytest.raises(ValueError, match="finite"):
+        Flow("h0", "h1", float("nan"))
+
+
 def test_flow_rejects_self_loop():
     with pytest.raises(ValueError):
         Flow("h0", "h0", 1.0)

@@ -24,10 +24,17 @@ from repro.topology import big_switch, two_hosts
 from repro.topology.routing import ShortestPathRouter
 
 
-def _network(topology, incremental, strict=True):
+def _network(topology, allocation, strict=True):
     return NetworkModel(
-        topology, ShortestPathRouter(topology), strict=strict, incremental=incremental
+        topology, ShortestPathRouter(topology), strict=strict, allocation=allocation
     )
+
+
+#: Both allocation cores; the ids name whether the incremental data
+#: paths are on (``True``) or the full-scan reference runs (``False``).
+both_cores = pytest.mark.parametrize(
+    "allocation", ["incremental", "reference"], ids=["True", "False"]
+)
 
 
 def _flow(src, dst, size, **kwargs):
@@ -45,7 +52,7 @@ class TestLinkAccounting:
 
     def test_watch_apply_unwatch_roundtrip(self):
         topo = big_switch(2, 10.0)
-        net = _network(topo, incremental=True)
+        net = _network(topo, "incremental")
         flow = _flow("h0", "h1", 100.0)
         net.inject(flow, 0.0)
         acc = net.accounting
@@ -104,9 +111,9 @@ class TestLinkAccounting:
 
 
 class TestLazyDrain:
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_state_read_materializes_drain(self, incremental):
-        net = _network(two_hosts(1.0), incremental)
+    @both_cores
+    def test_state_read_materializes_drain(self, allocation):
+        net = _network(two_hosts(1.0), allocation)
         flow = _flow("h0", "h1", 10.0)
         net.inject(flow, 0.0)
         net.set_rates({flow.flow_id: 1.0})
@@ -115,9 +122,9 @@ class TestLazyDrain:
         assert net.state(flow.flow_id).remaining == pytest.approx(6.0)
         assert net.bytes_delivered == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_active_states_syncs_everyone(self, incremental):
-        net = _network(big_switch(4, 10.0), incremental)
+    @both_cores
+    def test_active_states_syncs_everyone(self, allocation):
+        net = _network(big_switch(4, 10.0), allocation)
         flows = [_flow(f"h{i}", f"h{(i + 1) % 4}", 10.0) for i in range(4)]
         for flow in flows:
             net.inject(flow, 0.0)
@@ -128,9 +135,9 @@ class TestLazyDrain:
         for state in states:
             assert state.remaining == pytest.approx(8.0)
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_zero_rate_flows_never_drift(self, incremental):
-        net = _network(two_hosts(1.0), incremental)
+    @both_cores
+    def test_zero_rate_flows_never_drift(self, allocation):
+        net = _network(two_hosts(1.0), allocation)
         flow = _flow("h0", "h1", 10.0)
         net.inject(flow, 0.0)
         net.advance(5.0, 0.0)
@@ -144,17 +151,17 @@ class TestLazyDrain:
 
 
 class TestSetRates:
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_negative_rate_rejected(self, incremental):
-        net = _network(two_hosts(1.0), incremental)
+    @both_cores
+    def test_negative_rate_rejected(self, allocation):
+        net = _network(two_hosts(1.0), allocation)
         flow = _flow("h0", "h1", 10.0)
         net.inject(flow, 0.0)
         with pytest.raises(ValueError):
             net.set_rates({flow.flow_id: -1.0})
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_strict_violation_mutates_nothing(self, incremental):
-        net = _network(two_hosts(1.0), incremental, strict=True)
+    @both_cores
+    def test_strict_violation_mutates_nothing(self, allocation):
+        net = _network(two_hosts(1.0), allocation, strict=True)
         a, b = _flow("h0", "h1", 10.0), _flow("h0", "h1", 10.0)
         net.inject(a, 0.0)
         net.inject(b, 0.0)
@@ -167,7 +174,7 @@ class TestSetRates:
         assert net.earliest_finish_interval() == pytest.approx(20.0)
 
     def test_unchanged_rates_do_not_grow_the_heap(self):
-        net = _network(two_hosts(1.0), incremental=True)
+        net = _network(two_hosts(1.0), "incremental")
         a, b = _flow("h0", "h1", 10.0), _flow("h0", "h1", 10.0)
         net.inject(a, 0.0)
         net.inject(b, 0.0)
@@ -178,7 +185,7 @@ class TestSetRates:
         assert len(net._finish_heap) == before
 
     def test_heap_stays_compact_under_repacing(self):
-        net = _network(two_hosts(1.0), incremental=True)
+        net = _network(two_hosts(1.0), "incremental")
         flows = [_flow("h0", "h1", 1000.0) for _ in range(8)]
         for flow in flows:
             net.inject(flow, 0.0)
@@ -201,8 +208,8 @@ class TestTwinNetworkFuzz:
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_random_op_sequences_agree_exactly(self, seed):
         topo = big_switch(4, 10.0)
-        inc = _network(topo, incremental=True, strict=False)
-        ref = _network(topo, incremental=False, strict=False)
+        inc = _network(topo, "incremental", strict=False)
+        ref = _network(topo, "reference", strict=False)
         rng = random.Random(seed)
         now = 0.0
         next_flows = []
@@ -272,9 +279,9 @@ class TestTwinNetworkFuzz:
 
 
 class TestGroupBuckets:
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_sorted_by_group_none_last_fids_ascending(self, incremental):
-        net = _network(big_switch(4, 10.0), incremental)
+    @both_cores
+    def test_sorted_by_group_none_last_fids_ascending(self, allocation):
+        net = _network(big_switch(4, 10.0), allocation)
         flows = [
             _flow("h0", "h1", 5.0, group_id="b"),
             _flow("h1", "h2", 5.0, group_id="a"),
@@ -290,9 +297,9 @@ class TestGroupBuckets:
             [flows[1].flow_id, flows[3].flow_id]
         )
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_retirement_empties_buckets(self, incremental):
-        net = _network(two_hosts(1.0), incremental)
+    @both_cores
+    def test_retirement_empties_buckets(self, allocation):
+        net = _network(two_hosts(1.0), allocation)
         flow = _flow("h0", "h1", 1.0, group_id="g")
         net.inject(flow, 0.0)
         net.set_rates({flow.flow_id: 1.0})
@@ -323,7 +330,7 @@ class _ViewProbe(Scheduler):
 
 class TestViewDelta:
     def test_incremental_engine_reuses_one_view_with_deltas(self):
-        engine = Engine(big_switch(4, 4.0), _ViewProbe(), incremental=True)
+        engine = Engine(big_switch(4, 4.0), _ViewProbe(), allocation="incremental")
         flows = [_flow(f"h{i}", f"h{(i + 1) % 4}", float(i + 1)) for i in range(3)]
         for i, flow in enumerate(flows):
             engine.inject_background_flow(flow, at_time=0.1 * i)
@@ -340,7 +347,7 @@ class TestViewDelta:
         assert flows[0].flow_id in first_injected
 
     def test_legacy_engine_builds_fresh_views(self):
-        engine = Engine(big_switch(4, 4.0), _ViewProbe(), incremental=False)
+        engine = Engine(big_switch(4, 4.0), _ViewProbe(), allocation="reference")
         for i in range(3):
             engine.inject_background_flow(
                 _flow(f"h{i}", f"h{i + 1}", float(i + 1)), at_time=0.1 * i
@@ -350,7 +357,7 @@ class TestViewDelta:
         assert len(set(map(id, probe.views))) == len(probe.views)
 
     def test_direct_view_construction_has_empty_delta(self):
-        net = _network(two_hosts(1.0), incremental=True)
+        net = _network(two_hosts(1.0), "incremental")
         view = SchedulerView(now=0.0, network=net)
         assert view.injected_flows == ()
         assert view.departed_flows == ()
@@ -362,10 +369,10 @@ class TestViewDelta:
 
 
 class TestUndatedIndex:
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_late_head_dates_earlier_members(self, incremental):
+    @both_cores
+    def test_late_head_dates_earlier_members(self, allocation):
         engine = Engine(
-            big_switch(4, 10.0), FairSharingScheduler(), incremental=incremental
+            big_switch(4, 10.0), FairSharingScheduler(), allocation=allocation
         )
         group = EchelonFlow("ef", CoflowArrangement())
         engine.register_echelonflow(group)
@@ -383,7 +390,7 @@ class TestUndatedIndex:
             if s.ideal_finish_time is None
         ]
         assert len(undated) == 2
-        if incremental:
+        if allocation == "incremental":
             assert [s.flow.flow_id for s in engine._undated["ef"]] == [
                 f.flow_id for f in followers
             ]
@@ -396,7 +403,7 @@ class TestUndatedIndex:
 
     def test_undated_flow_that_finishes_leaves_the_index(self):
         engine = Engine(
-            big_switch(4, 10.0), FairSharingScheduler(), incremental=True
+            big_switch(4, 10.0), FairSharingScheduler(), allocation="incremental"
         )
         engine.register_echelonflow(EchelonFlow("ef", CoflowArrangement()))
         follower = _flow("h0", "h1", 1.0, group_id="ef", index_in_group=1)
@@ -441,7 +448,7 @@ class TestTraceJobIndex:
 
 class TestFairshareFastPath:
     def test_unweighted_fast_path_matches_weighted_route(self):
-        net = _network(big_switch(4, 10.0), incremental=True)
+        net = _network(big_switch(4, 10.0), "incremental")
         for i in range(6):
             net.inject(_flow(f"h{i % 4}", f"h{(i + 1) % 4}", 10.0, job_id="j"), 0.0)
         view = SchedulerView(now=0.0, network=net)
@@ -450,7 +457,7 @@ class TestFairshareFastPath:
         assert fast == slow
 
     def test_cached_demands_are_reused(self):
-        net = _network(two_hosts(1.0), incremental=True)
+        net = _network(two_hosts(1.0), "incremental")
         flow = _flow("h0", "h1", 10.0)
         net.inject(flow, 0.0)
         assert net.demand(flow.flow_id) is net.demand(flow.flow_id)

@@ -31,7 +31,6 @@ from repro.scheduling import (
 )
 from repro.scheduling.base import Scheduler
 from repro.simulator import Engine
-from repro.simulator.vector import HAVE_NUMPY
 from repro.topology import big_switch, leaf_spine, two_hosts
 from repro.workloads import (
     build_dp_allreduce,
@@ -101,8 +100,6 @@ def assert_equivalent(engine_factory, scheduler_factory):
         engine_factory, scheduler_factory, "reference"
     )
     for mode in ("incremental", "vector"):
-        if mode == "vector" and not HAVE_NUMPY:
-            continue
         inc_engine, inc_rec, inc_trace = _run(
             engine_factory, scheduler_factory, mode
         )

@@ -3,8 +3,8 @@
 The incremental-equivalence suite proves the two cores simulate the same
 run; this one proves they *observe* the same run: with a full
 Instrumentation attached (event log, link timelines, rate recorder,
-live-tardiness series), ``incremental=True`` and ``incremental=False``
-must produce identical recordings.
+live-tardiness series), ``allocation="incremental"`` and
+``allocation="reference"`` must produce identical recordings.
 
 Flow ids come from a global counter, so events are compared after
 normalizing every flow id (and task ``flow_ids`` list) to the flow's
@@ -35,9 +35,9 @@ _MODEL = uniform_model(
 )
 
 
-def _fig2_engine(scheduler, obs, incremental):
+def _fig2_engine(scheduler, obs, allocation):
     engine = Engine(
-        two_hosts(1.0), scheduler, instrumentation=obs, incremental=incremental
+        two_hosts(1.0), scheduler, instrumentation=obs, allocation=allocation
     )
     job = build_pipeline_segment(
         "fig2", "h0", "h1", [0.0, 1.0, 2.0], [2.0] * 3, [2.0] * 3
@@ -46,12 +46,12 @@ def _fig2_engine(scheduler, obs, incremental):
     return engine
 
 
-def _multijob_engine(scheduler, obs, incremental):
+def _multijob_engine(scheduler, obs, allocation):
     topology = leaf_spine(
         n_leaves=4, hosts_per_leaf=4, host_bandwidth=gbps(10), oversubscription=2.0
     )
     engine = Engine(
-        topology, scheduler, instrumentation=obs, incremental=incremental
+        topology, scheduler, instrumentation=obs, allocation=allocation
     )
     jobs = [
         build_pp_gpipe("pp", _MODEL, ["h0", "h4", "h8", "h12"], num_micro_batches=4),
@@ -65,9 +65,9 @@ def _multijob_engine(scheduler, obs, incremental):
     return engine
 
 
-def _run_instrumented(engine_factory, scheduler_name, incremental):
+def _run_instrumented(engine_factory, scheduler_name, allocation):
     obs = Instrumentation(event_log=JsonlEventLog())
-    engine = engine_factory(make_scheduler(scheduler_name), obs, incremental)
+    engine = engine_factory(make_scheduler(scheduler_name), obs, allocation)
     trace = engine.run()
     return trace, obs
 
@@ -112,8 +112,12 @@ def _normalized_rate_segments(obs):
 
 
 def assert_instrumented_equivalent(engine_factory, scheduler_name):
-    ref_trace, ref_obs = _run_instrumented(engine_factory, scheduler_name, False)
-    inc_trace, inc_obs = _run_instrumented(engine_factory, scheduler_name, True)
+    ref_trace, ref_obs = _run_instrumented(
+        engine_factory, scheduler_name, "reference"
+    )
+    inc_trace, inc_obs = _run_instrumented(
+        engine_factory, scheduler_name, "incremental"
+    )
 
     # Identical event logs (up to run-local flow numbering).
     assert _normalized_events(inc_obs.event_log) == _normalized_events(

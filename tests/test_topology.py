@@ -51,6 +51,18 @@ class TestTopologyGraph:
         with pytest.raises(ValueError):
             topo.add_link("a", "b", 0.0)
 
+    def test_nonfinite_capacity_rejected(self):
+        # A NaN capacity used to get as far as an unbounded allocation.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                big_switch(2, bad)
+            topo = big_switch(2, 1.0)
+            with pytest.raises(ValueError, match="finite"):
+                topo.set_link_capacity("h0", "core", bad)
+        topo = big_switch(2, 1.0)
+        topo.set_link_capacity("h0", "core", 0.0)  # a dead link stays legal
+        assert topo.link("h0", "core").capacity == 0.0
+
     def test_duplex_link(self):
         topo = Topology("t")
         topo.add_host("a")
