@@ -29,10 +29,12 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scale.py --sizes 100,1000
     PYTHONPATH=src python benchmarks/bench_scale.py --huge          # adds 1M
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke         # CI guard
+    PYTHONPATH=src python benchmarks/bench_scale.py --smoke --scheduler echelon
 
 ``--smoke`` runs small points a few times and compares three *time
 ratios* -- each the median over ``SMOKE_REPEATS`` attempts -- against the
-checked-in baseline (``benchmarks/results/bench_scale_baseline.json``):
+checked-in baseline of the chosen ``--scheduler``
+(``benchmarks/results/bench_scale_baseline.json``, keyed by scheduler):
 
 * ``ratio``: incremental / reference (the core speedup),
 * ``instrumented_ratio``: instrumented-incremental / incremental (the
@@ -354,9 +356,16 @@ def _guard(name: str, median_ratio: float, baseline_ratio) -> bool:
 def smoke(seed: int, scheduler: str) -> int:
     """CI guard: fail -- naming the mode -- when any core regresses."""
     try:
-        baseline = json.loads(BASELINE_PATH.read_text())
+        baselines = json.loads(BASELINE_PATH.read_text())
     except FileNotFoundError:
         print(f"[bench_scale] missing baseline {BASELINE_PATH}", file=sys.stderr)
+        return 1
+    baseline = baselines.get(scheduler)
+    if baseline is None:
+        print(
+            f"[bench_scale] no {scheduler!r} baseline in {BASELINE_PATH}",
+            file=sys.stderr,
+        )
         return 1
     # Benchmark hygiene: no sanitizer may ride along with the timed
     # engines, REPRO_CHECK or not -- otherwise the ratios measure the

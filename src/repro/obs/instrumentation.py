@@ -45,6 +45,8 @@ class LinkTimeline:
         #: link key "src->dst" -> list of [start, end, rate] segments.
         self.segments: Dict[str, List[List[float]]] = {}
         self.capacities: Dict[str, float] = {}
+        #: Link -> its "src->dst" key, built once per link, not per sample.
+        self._keys: Dict[object, str] = {}
 
     @staticmethod
     def link_key(src: str, dst: str) -> str:
@@ -61,20 +63,27 @@ class LinkTimeline:
         if dt <= 0:
             return
         end = now + dt
+        keys = self._keys
+        capacities = self.capacities
+        segments = self.segments
         for link, rate in usage.items():
             if rate < 0.0:
                 rate = 0.0
-            key = self.link_key(link.src, link.dst)
-            self.capacities[key] = link.capacity
-            series = self.segments.setdefault(key, [])
-            if series:
-                last = series[-1]
-                if (
-                    abs(last[1] - now) <= _RATE_TOL
-                    and abs(last[2] - rate) <= _RATE_TOL * max(1.0, abs(rate))
-                ):
-                    last[1] = end
-                    continue
+            key = keys.get(link)
+            if key is None:
+                key = keys[link] = self.link_key(link.src, link.dst)
+            capacities[key] = link.capacity
+            series = segments.get(key)
+            if series is None:
+                segments[key] = [[now, end, rate]]
+                continue
+            last = series[-1]
+            if (
+                abs(last[1] - now) <= _RATE_TOL
+                and abs(last[2] - rate) <= _RATE_TOL * max(1.0, abs(rate))
+            ):
+                last[1] = end
+                continue
             series.append([now, end, rate])
 
     def utilization_series(self, key: str) -> List[Tuple[float, float, float]]:

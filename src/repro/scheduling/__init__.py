@@ -8,7 +8,7 @@ from .base import (
     scheduler_names,
 )
 from .cache import MemoizingScheduler
-from .coflow_madd import CoflowMaddScheduler, madd_rates, remaining_gamma
+from .coflow_madd import CoflowMaddScheduler, link_load, load_gamma, madd_rates
 from .deadline import EdfFlowScheduler
 from .echelon_madd import ANCHORS, ORDERINGS, EchelonMaddScheduler
 from .fairshare import FairSharingScheduler
@@ -39,7 +39,8 @@ __all__ = [
     "ORDERINGS",
     "ANCHORS",
     "madd_rates",
-    "remaining_gamma",
+    "link_load",
+    "load_gamma",
     "PipelineStageSpec",
     "single_link_pipeline_optimum",
     "MakespanBounds",

@@ -20,32 +20,36 @@ order so no link idles while a flow wants it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.flow import FlowState
 from ..core.units import EPS
-from ..simulator.allocation import (
-    FlowDemand,
-    greedy_priority_fill,
-    link_capacities,
-)
+from ..simulator.allocation import greedy_priority_fill
 from ..simulator.network import NetworkModel
 from .base import Scheduler, SchedulerView, register_scheduler
 
 
-def remaining_gamma(
-    states: List[FlowState],
-    network: NetworkModel,
+def link_load(
+    states: List[FlowState], network: NetworkModel
+) -> Dict[Tuple[str, str], float]:
+    """Remaining bytes crossing each link, summed over ``states`` in order."""
+    load: Dict[Tuple[str, str], float] = {}
+    for state in states:
+        remaining = state.remaining
+        for link in network.path(state.flow.flow_id):
+            key = link.key
+            load[key] = load.get(key, 0.0) + remaining
+    return load
+
+
+def load_gamma(
+    load: Dict[Tuple[str, str], float],
     available: Dict[Tuple[str, str], float],
 ) -> float:
-    """Bottleneck completion time of a coflow on (residual) capacities.
+    """Bottleneck completion time of a link load on (residual) capacities.
 
     ``inf`` when some needed link has no residual capacity at all.
     """
-    load: Dict[Tuple[str, str], float] = {}
-    for state in states:
-        for link in network.path(state.flow.flow_id):
-            load[link.key] = load.get(link.key, 0.0) + state.remaining
     gamma = 0.0
     for key, total in load.items():
         capacity = available.get(key)
@@ -53,7 +57,9 @@ def remaining_gamma(
             continue
         if capacity <= EPS:
             return float("inf")
-        gamma = max(gamma, total / capacity)
+        ratio = total / capacity
+        if ratio > gamma:
+            gamma = ratio
     return gamma
 
 
@@ -63,27 +69,28 @@ def madd_rates(
     available: Dict[Tuple[str, str], float],
 ) -> Dict[int, float]:
     """Minimum allocation finishing every flow at the coflow's ``Gamma``."""
-    gamma = remaining_gamma(states, network, available)
-    rates: Dict[int, float] = {}
-    if gamma == float("inf"):
+    return paced_rates(states, load_gamma(link_load(states, network), available))
+
+
+def paced_rates(states: List[FlowState], duration: float) -> Dict[int, float]:
+    """Each flow's remaining bytes over ``duration`` (0 if inf or ~0)."""
+    if duration == float("inf") or duration <= EPS:
         return {state.flow.flow_id: 0.0 for state in states}
-    for state in states:
-        if gamma <= EPS:
-            rates[state.flow.flow_id] = 0.0
-        else:
-            rates[state.flow.flow_id] = state.remaining / gamma
-    return rates
+    return {state.flow.flow_id: state.remaining / duration for state in states}
 
 
-def _consume(
+def consume_rates(
     rates: Dict[int, float],
     network: NetworkModel,
     available: Dict[Tuple[str, str], float],
 ) -> None:
+    """Deduct each rate along its flow's path from ``available``, floor 0."""
     for flow_id, rate in rates.items():
         for link in network.path(flow_id):
-            if link.key in available:
-                available[link.key] = max(0.0, available[link.key] - rate)
+            key = link.key
+            if key in available:
+                left = available[key] - rate
+                available[key] = left if left > 0.0 else 0.0
 
 
 @register_scheduler
@@ -120,16 +127,16 @@ class CoflowMaddScheduler(Scheduler):
         # SEBF: smallest remaining bottleneck first, on *full* capacities.
         keyed = []
         for group_id, states in coflows:
-            gamma = remaining_gamma(states, network, available)
-            keyed.append((gamma, group_id, states))
+            load = link_load(states, network)
+            keyed.append((load_gamma(load, available), group_id, states, load))
         keyed.sort(key=lambda item: (item[0], item[1]))
 
         rates: Dict[int, float] = {}
         residual = dict(available)
         ordered_states: List[FlowState] = []
-        for _gamma, _group_id, states in keyed:
-            group_rates = madd_rates(states, network, residual)
-            _consume(group_rates, network, residual)
+        for _gamma, _group_id, states, load in keyed:
+            group_rates = paced_rates(states, load_gamma(load, residual))
+            consume_rates(group_rates, network, residual)
             rates.update(group_rates)
             ordered_states.extend(
                 sorted(states, key=lambda s: (s.remaining, s.flow.flow_id))

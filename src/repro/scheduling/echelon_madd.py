@@ -42,14 +42,13 @@ flows in schedule order, so pacing never idles a link that has demand.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.flow import FlowState
-from ..core.units import EPS
 from ..simulator.allocation import greedy_priority_fill
 from ..simulator.network import NetworkModel
 from .base import Scheduler, SchedulerView, register_scheduler
-from .coflow_madd import remaining_gamma
+from .coflow_madd import consume_rates, link_load, load_gamma, paced_rates
 
 #: Inter-EchelonFlow ordering policies (ablation E12).
 ORDERINGS = ("tardiness", "projected", "hybrid", "tardiness-asc", "sebf", "fifo")
@@ -59,14 +58,15 @@ ANCHORS = ("arrangement", "flow_start")
 
 
 class _Stage:
-    """Flows of one EchelonFlow sharing one arrangement index."""
+    """Flows of one EchelonFlow sharing one arrangement index; their link
+    load is computed once and gives ``Gamma`` on any capacity map."""
 
-    def __init__(self, deadline: float, states: List[FlowState]) -> None:
+    def __init__(
+        self, deadline: float, states: List[FlowState], network: NetworkModel
+    ) -> None:
         self.deadline = deadline
         self.states = states
-
-    def gamma(self, network: NetworkModel, available) -> float:
-        return remaining_gamma(self.states, network, available)
+        self.load = link_load(states, network)
 
 
 class _Group:
@@ -88,11 +88,11 @@ class _Group:
         #: agent registration); unregistered flows are best-effort.
         self.registered = registered
 
-    def projected_tardiness(self, now: float, network: NetworkModel, available) -> float:
+    def projected_tardiness(self, now: float, available) -> float:
         """``max_g (now + Gamma_g - d_g)``: lateness if served alone now."""
         worst = float("-inf")
         for stage in self.stages:
-            gamma = stage.gamma(network, available)
+            gamma = load_gamma(stage.load, available)
             if gamma == float("inf"):
                 return float("inf")
             worst = max(worst, now + gamma - stage.deadline)
@@ -195,7 +195,7 @@ class EchelonMaddScheduler(Scheduler):
                     groups.append(
                         _Group(
                             f"_flow{state.flow.flow_id}",
-                            [_Stage(deadline, [state])],
+                            [_Stage(deadline, [state], view.network)],
                             job_id=state.flow.job_id,
                             registered=False,
                         )
@@ -205,7 +205,10 @@ class EchelonMaddScheduler(Scheduler):
             for state in states:
                 deadline = self._deadline_of(view, state)
                 by_deadline.setdefault(deadline, []).append(state)
-            stages = [_Stage(d, members) for d, members in by_deadline.items()]
+            stages = [
+                _Stage(d, members, view.network)
+                for d, members in by_deadline.items()
+            ]
             echelonflow = view.echelonflows.get(group_id)
             job_id = echelonflow.job_id if echelonflow is not None else None
             weight = echelonflow.weight if echelonflow is not None else 1.0
@@ -263,7 +266,7 @@ class EchelonMaddScheduler(Scheduler):
             # preserves the formation that gates the job's computation.
             tau = {
                 g.group_id: self._weighted_ascending(
-                    g, g.projected_tardiness(now, network, full_caps)
+                    g, g.projected_tardiness(now, full_caps)
                 )
                 for g in groups
             }
@@ -295,9 +298,11 @@ class EchelonMaddScheduler(Scheduler):
         if self.ordering == "sebf":
             keyed = [
                 (
-                    remaining_gamma(
-                        [s for stage in g.stages for s in stage.states],
-                        network,
+                    load_gamma(
+                        link_load(
+                            [s for stage in g.stages for s in stage.states],
+                            network,
+                        ),
                         full_caps,
                     ),
                     g.group_id,
@@ -308,9 +313,7 @@ class EchelonMaddScheduler(Scheduler):
         else:
             keyed = [
                 (
-                    self._weighted(
-                        g, g.projected_tardiness(now, network, full_caps)
-                    ),
+                    self._weighted(g, g.projected_tardiness(now, full_caps)),
                     g.group_id,
                     g,
                 )
@@ -340,25 +343,17 @@ class EchelonMaddScheduler(Scheduler):
         schedule_order: List[FlowState] = []
         for group in ordered:
             for stage in group.stages:
-                gamma = stage.gamma(network, residual)
+                gamma = load_gamma(stage.load, residual)
                 schedule_order.extend(
                     sorted(stage.states, key=lambda s: s.flow.flow_id)
                 )
-                if gamma == float("inf"):
-                    for state in stage.states:
-                        rates[state.flow.flow_id] = 0.0
-                    continue
-                # Pace the stage to land on max(deadline, earliest feasible).
-                target = max(stage.deadline, now + gamma)
-                horizon = target - now
-                for state in stage.states:
-                    if horizon <= EPS:
-                        rate = 0.0
-                    else:
-                        rate = state.remaining / horizon
-                    rates[state.flow.flow_id] = rate
-                    for link in network.path(state.flow.flow_id):
-                        residual[link.key] = max(0.0, residual[link.key] - rate)
+                # Pace the stage to land on max(deadline, earliest feasible);
+                # a blocked stage (infinite Gamma) gets zero rates.
+                horizon = max(stage.deadline, now + gamma) - now
+                stage_rates = paced_rates(stage.states, horizon)
+                rates.update(stage_rates)
+                if gamma != float("inf"):
+                    consume_rates(stage_rates, network, residual)
 
         if self.backfill:
             demands = [view.demand_of(state) for state in schedule_order]

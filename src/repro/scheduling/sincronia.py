@@ -31,6 +31,7 @@ from ..core.units import EPS
 from ..simulator.allocation import greedy_priority_fill
 from ..simulator.network import NetworkModel
 from .base import Scheduler, SchedulerView, register_scheduler
+from .coflow_madd import link_load
 
 
 def bssi_order(
@@ -47,13 +48,7 @@ def bssi_order(
     remaining = {cid: list(states) for cid, states in coflows.items() if states}
     scaled_weight = {cid: weights.get(cid, 1.0) for cid in remaining}
     # Per-coflow per-link loads, computed once.
-    load: Dict[str, Dict[Tuple[str, str], float]] = {}
-    for cid, states in remaining.items():
-        per_link: Dict[Tuple[str, str], float] = {}
-        for state in states:
-            for link in network.path(state.flow.flow_id):
-                per_link[link.key] = per_link.get(link.key, 0.0) + state.remaining
-        load[cid] = per_link
+    load = {cid: link_load(states, network) for cid, states in remaining.items()}
 
     reverse_order: List[str] = []
     active = set(remaining)

@@ -50,7 +50,7 @@ class RpcSpec:
     delay: float = 0.0
     #: Probability a delivered message arrives twice.
     dup: float = 0.0
-    #: Sender-side wait before declaring one attempt lost (sim-seconds).
+    #: Sender-side wait before declaring one attempt lost (sim-seconds, > 0).
     timeout: float = 0.05
     #: Retries after the first attempt (so ``retries + 1`` attempts total).
     retries: int = 3
@@ -76,6 +76,11 @@ class RpcSpec:
                 raise RpcSpecError(
                     f"{name} must be finite and >= 0, got {getattr(self, name)}"
                 )
+        if self.timeout <= 0.0:
+            raise RpcSpecError(
+                f"timeout must be > 0 (a zero wait declares every attempt "
+                f"lost before it can arrive), got {self.timeout}"
+            )
         if self.retries < 0:
             raise RpcSpecError(f"retries must be >= 0, got {self.retries}")
 

@@ -21,6 +21,10 @@ class Link:
     :class:`Topology` and shared by reference, so identity semantics survive
     runtime capacity mutation (fault injection) without invalidating any dict
     keyed by the link object.
+
+    ``key`` is the ``(src, dst)`` name pair, fixed at construction: link
+    endpoints never change, so the tuple is built once rather than on every
+    access.
     """
 
     src: str
@@ -36,10 +40,7 @@ class Link:
         if self.src == self.dst:
             raise ValueError(f"self-loop link at {self.src!r}")
         self.nominal_capacity = self.capacity
-
-    @property
-    def key(self) -> Tuple[str, str]:
-        return (self.src, self.dst)
+        self.key: Tuple[str, str] = (self.src, self.dst)
 
 
 class Topology:

@@ -1,7 +1,9 @@
 """Routing: turn (src, dst) host pairs into link paths.
 
 Flow scheduling allocates rates on links along a fixed path, so routes are
-computed once per topology and cached. Two policies:
+computed once per topology and cached: one BFS per source builds a
+shortest-path DAG, and each (src, dst) pair then enumerates its paths over
+only the destination's ancestors in that DAG. Two policies:
 
 * :class:`ShortestPathRouter` -- deterministic shortest path (ties broken by
   node name for reproducibility).
@@ -13,7 +15,6 @@ Both return paths as tuples of :class:`~repro.topology.graph.Link`.
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .graph import Link, Topology
@@ -23,84 +24,94 @@ class RoutingError(Exception):
     """Raised when no path exists between requested endpoints."""
 
 
-def _all_shortest_paths(
-    topo: Topology,
-    src: str,
-    dst: str,
-    limit: int = 16,
-    blocked: Optional[FrozenSet[Tuple[str, str]]] = None,
-) -> List[Tuple[str, ...]]:
-    """Enumerate up to ``limit`` shortest hop-count node paths src -> dst.
+#: A shortest-path DAG rooted at one source: hop distance and the
+#: predecessor list of every node the source reaches.
+_Dag = Tuple[Dict[str, int], Dict[str, List[str]]]
 
-    A small custom BFS/Dijkstra keeps the dependency surface minimal and the
-    tie-breaking deterministic (lexicographic by node path). Links whose
-    ``(src, dst)`` key is in ``blocked`` are treated as absent (downed).
-    """
-    if src == dst:
-        return [(src,)]
-    blocked = blocked or frozenset()
-    # BFS level computation.
+
+def _shortest_path_dag(
+    topo: Topology, src: str, blocked: FrozenSet[Tuple[str, str]]
+) -> _Dag:
+    """One full BFS from ``src``; links keyed in ``blocked`` are absent."""
     dist: Dict[str, int] = {src: 0}
+    preds: Dict[str, List[str]] = {src: []}
     frontier = [src]
-    while frontier and dst not in dist:
+    while frontier:
         next_frontier: List[str] = []
         for node in frontier:
+            level = dist[node] + 1
             for link in topo.out_links(node):
-                if link.key in blocked:
+                if blocked and link.key in blocked:
                     continue
-                if link.dst not in dist:
-                    dist[link.dst] = dist[node] + 1
-                    next_frontier.append(link.dst)
+                nxt = link.dst
+                seen = dist.get(nxt)
+                if seen is None:
+                    dist[nxt] = level
+                    preds[nxt] = [node]
+                    next_frontier.append(nxt)
+                elif seen == level:
+                    preds[nxt].append(node)
         frontier = next_frontier
+    return dist, preds
+
+
+def _enumerate_paths(
+    topo: Topology, dag: _Dag, src: str, dst: str, limit: int
+) -> List[Tuple[Link, ...]]:
+    """The ``limit`` shortest paths src -> dst that come first in
+    lexicographic order of their node names, as link tuples.
+
+    Walks only the subgraph of ``dst``'s ancestors in the DAG, so every
+    branch taken ends at ``dst``; successors are visited in name order,
+    which keeps tie-breaking deterministic.
+    """
+    dist, preds = dag
     if dst not in dist:
         raise RoutingError(f"no path from {src!r} to {dst!r}")
-    # Enumerate shortest paths by DFS over the BFS DAG, lexicographic order.
-    target_len = dist[dst]
-    paths: List[Tuple[str, ...]] = []
+    link = topo.link
+    # A lone chain of predecessors back to src is the only shortest path.
+    chain: List[Link] = []
+    node = dst
+    while node != src:
+        nodes = preds[node]
+        if len(nodes) != 1:
+            break
+        pred = nodes[0]
+        chain.append(link(pred, node))
+        node = pred
+    else:
+        chain.reverse()
+        return [tuple(chain)]
+    # Successors toward dst of every ancestor of dst.
+    succ: Dict[str, List[str]] = {}
+    stack = [dst]
+    while stack:
+        node = stack.pop()
+        for pred in preds[node]:
+            nexts = succ.get(pred)
+            if nexts is None:
+                succ[pred] = [node]
+                stack.append(pred)
+            else:
+                nexts.append(node)
+    for nexts in succ.values():
+        nexts.sort()
+    paths: List[Tuple[Link, ...]] = []
+    path: List[Link] = []
 
-    def extend(path: List[str]) -> None:
+    def extend(node: str) -> None:
         if len(paths) >= limit:
             return
-        node = path[-1]
         if node == dst:
             paths.append(tuple(path))
             return
-        if len(path) - 1 >= target_len:
-            return
-        for link in sorted(topo.out_links(node), key=lambda l: l.dst):
-            if link.key in blocked:
-                continue
-            nxt = link.dst
-            if dist.get(nxt, -1) == len(path):
-                path.append(nxt)
-                extend(path)
-                path.pop()
+        for nxt in succ[node]:
+            path.append(link(node, nxt))
+            extend(nxt)
+            path.pop()
 
-    extend([src])
+    extend(src)
     return paths
-
-
-def _shortest_paths_or_degraded(
-    topo: Topology,
-    src: str,
-    dst: str,
-    limit: int,
-    blocked: FrozenSet[Tuple[str, str]],
-) -> List[Tuple[str, ...]]:
-    """Prefer paths that avoid blocked links; fall back to ignoring them.
-
-    When an outage disconnects a host pair entirely (single-path fabrics,
-    or every equal-cost path down), flows admitted during the outage still
-    need a pinned route: they take the downed path and stall at zero
-    capacity until the link restores -- the same stranded semantics
-    in-flight flows get -- rather than failing admission.
-    """
-    if blocked:
-        try:
-            return _all_shortest_paths(topo, src, dst, limit, blocked)
-        except RoutingError:
-            pass
-    return _all_shortest_paths(topo, src, dst, limit)
 
 
 def _translate_path(
@@ -110,21 +121,63 @@ def _translate_path(
     return tuple(topo.link(link.src, link.dst) for link in path)
 
 
-def _links_of(topo: Topology, node_path: Sequence[str]) -> Tuple[Link, ...]:
-    return tuple(
-        topo.link(node_path[i], node_path[i + 1]) for i in range(len(node_path) - 1)
-    )
+class _CachedRouter:
+    """Shared route caching and blocked-link bookkeeping for the routers.
 
-
-class _BlockingMixin:
-    """Shared blocked-link bookkeeping for the routers.
+    Each router caches resolved routes per (src, dst) pair and one
+    shortest-path DAG per source (:func:`_shortest_path_dag`), so a
+    source's BFS runs once and every pair from it costs only a walk over
+    the destination's ancestors.
 
     Blocking a link excludes it from every subsequently computed path (downed
     links during fault injection); already-admitted flows keep their pinned
-    paths until explicitly migrated. Both operations clear the route cache.
+    paths until explicitly migrated. Both operations clear every cache.
     """
 
-    _blocked: Set[Tuple[str, str]]
+    def __init__(self, topology: Topology) -> None:
+        self.topology = topology
+        self._cache: Dict[Tuple[str, str], object] = {}
+        #: source -> shortest-path DAG avoiding the blocked links, and
+        #: source -> DAG of the full graph (the degraded fallback).
+        self._dags: Dict[str, _Dag] = {}
+        self._open_dags: Dict[str, _Dag] = {}
+        self._blocked: Set[Tuple[str, str]] = set()
+
+    def _fork_state(self, twin: "_CachedRouter") -> None:
+        """Carry the blocked set and the DAG caches (node names only, valid
+        on any clone) over to a router built on a cloned topology."""
+        twin._blocked = set(self._blocked)
+        twin._dags = dict(self._dags)
+        twin._open_dags = dict(self._open_dags)
+
+    def _routes(self, src: str, dst: str, limit: int) -> List[Tuple[Link, ...]]:
+        """Prefer paths that avoid blocked links; fall back to ignoring them.
+
+        When an outage disconnects a host pair entirely (single-path fabrics,
+        or every equal-cost path down), flows admitted during the outage still
+        need a pinned route: they take the downed path and stall at zero
+        capacity until the link restores -- the same stranded semantics
+        in-flight flows get -- rather than failing admission.
+        """
+        topo = self.topology
+        dag = self._dags.get(src)
+        if dag is None:
+            dag = _shortest_path_dag(topo, src, frozenset(self._blocked))
+            self._dags[src] = dag
+        try:
+            return _enumerate_paths(topo, dag, src, dst, limit)
+        except RoutingError:
+            if not self._blocked:
+                raise
+        dag = self._open_dags.get(src)
+        if dag is None:
+            dag = self._open_dags[src] = _shortest_path_dag(topo, src, frozenset())
+        return _enumerate_paths(topo, dag, src, dst, limit)
+
+    def _invalidate(self) -> None:
+        self._cache.clear()
+        self._dags.clear()
+        self._open_dags.clear()
 
     def block_links(self, keys) -> None:
         changed = False
@@ -134,7 +187,7 @@ class _BlockingMixin:
                 self._blocked.add(key)
                 changed = True
         if changed:
-            self._cache.clear()
+            self._invalidate()
 
     def unblock_links(self, keys) -> None:
         changed = False
@@ -144,30 +197,26 @@ class _BlockingMixin:
                 self._blocked.discard(key)
                 changed = True
         if changed:
-            self._cache.clear()
+            self._invalidate()
 
     @property
     def blocked_links(self) -> FrozenSet[Tuple[str, str]]:
         return frozenset(self._blocked)
 
 
-class ShortestPathRouter(_BlockingMixin):
+class ShortestPathRouter(_CachedRouter):
     """Deterministic single shortest path per host pair, cached."""
-
-    def __init__(self, topology: Topology) -> None:
-        self.topology = topology
-        self._cache: Dict[Tuple[str, str], Tuple[Link, ...]] = {}
-        self._blocked: Set[Tuple[str, str]] = set()
 
     def fork(self, topology: Topology) -> "ShortestPathRouter":
         """An equivalent router over a cloned topology.
 
-        The blocked-link set carries over (keys are name pairs, valid on
-        any clone); the path cache is translated link-by-link so the
-        fork serves identical routes without recomputation.
+        The blocked-link set and DAG cache carry over (keys are node
+        names, valid on any clone); the path cache is translated
+        link-by-link so the fork serves identical routes without
+        recomputation.
         """
         twin = ShortestPathRouter(topology)
-        twin._blocked = set(self._blocked)
+        self._fork_state(twin)
         twin._cache = {
             pair: _translate_path(topology, path)
             for pair, path in self._cache.items()
@@ -175,17 +224,15 @@ class ShortestPathRouter(_BlockingMixin):
         return twin
 
     def path(self, src: str, dst: str, flow_id: Optional[int] = None) -> Tuple[Link, ...]:
-        self.topology.validate_endpoints(src, dst)
         key = (src, dst)
-        if key not in self._cache:
-            node_paths = _shortest_paths_or_degraded(
-                self.topology, src, dst, 1, frozenset(self._blocked)
-            )
-            self._cache[key] = _links_of(self.topology, node_paths[0])
-        return self._cache[key]
+        path = self._cache.get(key)
+        if path is None:
+            self.topology.validate_endpoints(src, dst)
+            path = self._cache[key] = self._routes(src, dst, 1)[0]
+        return path
 
 
-class EcmpRouter(_BlockingMixin):
+class EcmpRouter(_CachedRouter):
     """Flow-hashed equal-cost multi-path routing.
 
     All shortest paths between a host pair are enumerated once; a given flow
@@ -194,17 +241,15 @@ class EcmpRouter(_BlockingMixin):
     """
 
     def __init__(self, topology: Topology, fanout_limit: int = 16) -> None:
-        self.topology = topology
+        super().__init__(topology)
         self.fanout_limit = fanout_limit
-        self._cache: Dict[Tuple[str, str], List[Tuple[Link, ...]]] = {}
-        self._blocked: Set[Tuple[str, str]] = set()
 
     def fork(self, topology: Topology) -> "EcmpRouter":
         """An equivalent router over a cloned topology (see
         :meth:`ShortestPathRouter.fork`); candidate lists keep their
         order so flow-id hashing picks the same path on the fork."""
         twin = EcmpRouter(topology, fanout_limit=self.fanout_limit)
-        twin._blocked = set(self._blocked)
+        self._fork_state(twin)
         twin._cache = {
             pair: [_translate_path(topology, path) for path in paths]
             for pair, paths in self._cache.items()
@@ -215,11 +260,7 @@ class EcmpRouter(_BlockingMixin):
         key = (src, dst)
         if key not in self._cache:
             self.topology.validate_endpoints(src, dst)
-            node_paths = _shortest_paths_or_degraded(
-                self.topology, src, dst, self.fanout_limit,
-                frozenset(self._blocked),
-            )
-            self._cache[key] = [_links_of(self.topology, p) for p in node_paths]
+            self._cache[key] = self._routes(src, dst, self.fanout_limit)
         return self._cache[key]
 
     def path(self, src: str, dst: str, flow_id: Optional[int] = None) -> Tuple[Link, ...]:

@@ -75,6 +75,14 @@ def test_rpc_spec_rejects_bad_values():
         RpcSpec(timeout=float("inf"))
 
 
+def test_rpc_spec_rejects_zero_timeout():
+    for spec in ("timeout=0", "drop=0.1,timeout=0.0"):
+        with pytest.raises(RpcSpecError, match="timeout must be > 0"):
+            parse_rpc_spec(spec)
+    with pytest.raises(RpcSpecError, match="timeout must be > 0"):
+        ControlPlaneRuntime(rpc="timeout=0")
+
+
 def test_rpc_channel_is_deterministic_per_seed_and_message():
     spec = parse_rpc_spec("drop=0.3,delay=0.01,dup=0.1")
     a = RpcChannel(spec, seed=1)

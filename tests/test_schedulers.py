@@ -15,7 +15,7 @@ from repro.scheduling import (
     scheduler_names,
 )
 from repro.scheduling.base import SchedulerView
-from repro.scheduling.coflow_madd import madd_rates, remaining_gamma
+from repro.scheduling.coflow_madd import link_load, load_gamma, madd_rates
 from repro.simulator.network import NetworkModel
 from repro.topology import ShortestPathRouter, big_switch, two_hosts
 
@@ -94,7 +94,7 @@ class TestCoflowMadd:
         for state in states:
             for link in network.path(state.flow.flow_id):
                 caps[link.key] = link.capacity
-        gamma = remaining_gamma(states, network, caps)
+        gamma = load_gamma(link_load(states, network), caps)
         # Ingress of h1 carries 18 bytes at cap 2 -> Gamma = 9.
         assert gamma == pytest.approx(9.0)
         rates = madd_rates(states, network, caps)
