@@ -45,6 +45,7 @@ scenario grid uses a fraction of the heartbeat period).
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -106,8 +107,10 @@ class NoiseSpec:
             raise NoiseSpecError(
                 f"burst_len must be >= 1, got {self.burst_len}"
             )
-        if self.delay < 0.0:
-            raise NoiseSpecError(f"delay must be >= 0, got {self.delay}")
+        if not (math.isfinite(self.delay) and self.delay >= 0.0):
+            raise NoiseSpecError(
+                f"delay must be a finite number >= 0, got {self.delay}"
+            )
 
     @property
     def is_noop(self) -> bool:

@@ -49,6 +49,15 @@ class WhatIfQueryError(ValueError):
     """A query string does not parse or is semantically malformed."""
 
 
+#: Numeric options: name -> (type, predicate, the rule in words).
+_NUMERIC_OPTIONS = {
+    "factor": (float, lambda value: 0.0 < value < 1.0, "0 < factor < 1"),
+    "jobs": (int, lambda value: value >= 1, "an integer >= 1"),
+    "layers": (int, lambda value: value >= 1, "an integer >= 1"),
+    "hosts": (int, lambda value: value >= 0, "an integer >= 0"),
+}
+
+
 @dataclass(frozen=True)
 class WhatIfQuery:
     """One parsed counterfactual intervention.
@@ -56,8 +65,9 @@ class WhatIfQuery:
     ``time``/``duration`` are stored as ``(value, is_fraction)`` pairs;
     call :meth:`resolved` with the baseline makespan to get absolute
     seconds. ``arg`` is the ``:``-suffix (paradigm, job id, or raw link
-    spec) and ``options`` the trailing ``k=v`` pairs, untyped -- each
-    kind validates its own options when applied.
+    spec) and ``options`` the trailing ``k=v`` pairs as strings. The
+    numeric options (``factor``, ``jobs``, ``layers``, ``hosts``) are
+    checked here, so a malformed one fails before any engine work.
     """
 
     kind: str
@@ -66,6 +76,21 @@ class WhatIfQuery:
     duration: Optional[Tuple[float, bool]] = None
     options: Dict[str, str] = field(default_factory=dict)
     raw: str = ""
+
+    def __post_init__(self) -> None:
+        for key, value in self.options.items():
+            if key not in _NUMERIC_OPTIONS:
+                continue
+            convert, valid, rule = _NUMERIC_OPTIONS[key]
+            try:
+                ok = valid(convert(value))
+            except ValueError:
+                ok = False
+            if not ok:
+                raise WhatIfQueryError(
+                    f"option {key}={value!r} in query {self.describe()!r} "
+                    f"must be {rule}"
+                )
 
     def resolved(self, makespan: float) -> Tuple[float, Optional[float]]:
         """Return ``(abs_time, abs_duration_or_None)`` in seconds."""

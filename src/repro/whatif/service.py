@@ -200,8 +200,6 @@ class WhatIfService:
         copies = 1
         if query.kind == "add_tenant":
             copies = int(query.options.get("jobs", "2"))
-            if copies < 1:
-                raise WhatIfError(f"jobs={copies} must be >= 1")
         layers = int(query.options.get("layers", "8"))
         hosts = int(query.options.get("hosts", "0"))
         builder = cluster_job_builder(engine, self._hosts_per_job)
@@ -213,7 +211,10 @@ class WhatIfService:
             # placement hashes the id, so the same query must get the
             # same id (and hosts) in warm, cold, and repeated runs.
             job_id = f"wi-{query.arg}{copy}"
-            job = builder(query.arg, job_id, layers=layers, hosts=hosts)
+            try:
+                job = builder(query.arg, job_id, layers=layers, hosts=hosts)
+            except ValueError as exc:
+                raise WhatIfError(f"query {query.describe()!r}: {exc}") from exc
             job.submit_to(engine, at_time=when)
             added.append(job_id)
             extra[job_id] = when
@@ -236,6 +237,8 @@ class WhatIfService:
             raise WhatIfError(
                 f"query {query.describe()!r} names an unknown link: {exc}"
             ) from exc
+        except ValueError as exc:
+            raise WhatIfError(f"query {query.describe()!r}: {exc}") from exc
         if engine.faults is None:
             engine.faults = injector
 

@@ -44,9 +44,13 @@ from .model import (
     uniform_model,
 )
 from .placement import ClusterPlacer, PlacementError
-from .pp import build_pipeline_segment, build_pp_gpipe
-from .pp_1f1b import build_pp_1f1b, one_f_one_b_order
-from .pp_interleaved import build_pp_interleaved
+from .pp import (
+    build_pipeline_segment,
+    build_pp_1f1b,
+    build_pp_gpipe,
+    build_pp_interleaved,
+    one_f_one_b_order,
+)
 from .spec import SpecError, run_spec, run_spec_file
 from .tp import build_tp_megatron
 from .zoo import (

@@ -39,9 +39,7 @@ from ..topology import big_switch, dumbbell, fat_tree, leaf_spine, linear_chain
 from .dp import build_dp_allreduce, build_dp_ps
 from .fsdp import build_fsdp
 from .job import BuiltJob
-from .pp import build_pp_gpipe
-from .pp_1f1b import build_pp_1f1b
-from .pp_interleaved import build_pp_interleaved
+from .pp import build_pp_1f1b, build_pp_gpipe, build_pp_interleaved
 from .tp import build_tp_megatron
 from .zoo import get_model
 

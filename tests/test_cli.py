@@ -448,3 +448,17 @@ def test_parser_rejects_unknown_command():
 def test_parser_rejects_unknown_paradigm():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--paradigm", "quantum"])
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "degrade_link:h1-core@50%,factor=abc",
+        "degrade_link:h1-core@50%,factor=nan",
+        "submit_job:dp@50%,layers=x",
+    ],
+)
+def test_whatif_bad_option_is_an_error_not_a_traceback(capsys, query):
+    assert main(["whatif", "--hosts", "4", "--jobs", "2", query]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: option ") and query in err

@@ -85,6 +85,11 @@ class TestNoiseSpecGrammar:
         with pytest.raises(NoiseSpecError):
             parse_noise_spec(text)
 
+    @pytest.mark.parametrize("text", ["delay=nan", "delay=inf"])
+    def test_non_finite_delay_is_rejected(self, text):
+        with pytest.raises(NoiseSpecError, match="finite"):
+            parse_noise_spec(text)
+
     def test_spec_error_is_a_value_error(self):
         assert issubclass(NoiseSpecError, ValueError)
 

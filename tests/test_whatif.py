@@ -19,6 +19,7 @@ differently.
 """
 
 import random
+import re
 
 import pytest
 
@@ -313,6 +314,25 @@ def test_parse_query_rejects(bad):
         parse_query(bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "degrade_link:h1-core@50%,factor=abc",
+        "degrade_link:h1-core@50%,factor=nan",
+        "degrade_link:h1-core@50%,factor=1.5",
+        "submit_job:dp@50%,layers=x",
+        "submit_job:dp@50%,layers=0",
+        "add_tenant:dp@50%,jobs=0",
+        "add_tenant:dp@50%,jobs=2.5",
+        "submit_job:dp@50%,hosts=-1",
+    ],
+)
+def test_parse_query_rejects_bad_numeric_options(bad):
+    key = bad.rsplit(",", 1)[1].split("=")[0]
+    with pytest.raises(WhatIfQueryError, match=f"option {key}=.*{re.escape(bad)}"):
+        parse_query(bad)
+
+
 def test_parse_batch_reports_line_numbers():
     queries = parse_batch(
         "# comment\nkill_link:h1-core@10%+0.1\n\nremove_job:dp3@0\n"
@@ -405,6 +425,13 @@ def test_permanent_partition_is_rejected(service):
 def test_unknown_link_is_rejected(service):
     with pytest.raises(WhatIfError, match="unknown link"):
         service.run_query("kill_link:h1-nowhere@30%+0.1")
+
+
+def test_unbuildable_job_and_bad_link_spec_are_rejected(service):
+    with pytest.raises(WhatIfError, match="cannot split 1 layers"):
+        service.run_query("submit_job:pp@50%,layers=1")
+    with pytest.raises(WhatIfError, match="bad link spec"):
+        service.run_query("kill_link:h1@30%+0.1")
 
 
 # ---------------------------------------------------------------------------
