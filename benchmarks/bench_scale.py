@@ -11,6 +11,13 @@ produce the same simulation by construction; every point cross-checks
 bit-identity through a normalized per-flow trace digest before recording
 wall-clock seconds and the speedups.
 
+Every sweep point runs each mode once as a warm-up (discarded), then
+``SWEEP_REPEATS`` times; the report gives each mode's median seconds
+and inter-quartile range, and speedups are ratios of medians. The
+report carries a manifest (git revision, seed, scheduler, sizes and
+every point's trace digest) so a number can be traced back to the run
+that made it.
+
 The reference core is O(n^2) per run, so the sweep caps it at
 ``REFERENCE_CAP`` flows (a 10k reference run already takes minutes; 100k
 would take hours). Above the cap the sweep still runs -- and still
@@ -56,11 +63,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import random
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
@@ -100,6 +111,8 @@ SMOKE_FLOWS = 400
 #: it measures the kernel the engine would actually pick at this size.
 VECTOR_SMOKE_FLOWS = 4000
 SMOKE_REPEATS = 3
+#: Measured runs per (point, mode) in a full sweep, after one warm-up.
+SWEEP_REPEATS = 3
 
 MODES = ("reference", "incremental", "vector")
 
@@ -254,6 +267,54 @@ def _check_equivalent(n_flows: int, a: dict, b: dict) -> list:
     return problems
 
 
+def _git_revision() -> dict:
+    """Revision and dirty flag, when the checkout is a git work tree."""
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(ROOT), *args], capture_output=True, text=True, timeout=10
+        )
+
+    try:
+        top = git("rev-parse", "--show-toplevel")
+        if top.returncode != 0 or Path(top.stdout.strip()).resolve() != ROOT:
+            return {"revision": None, "dirty": None}
+        revision = git("rev-parse", "HEAD").stdout.strip() or None
+        status = git("status", "--porcelain", "--untracked-files=no")
+        dirty = bool(status.stdout.strip())
+    except (OSError, subprocess.SubprocessError):
+        return {"revision": None, "dirty": None}
+    return {"revision": revision, "dirty": dirty}
+
+
+def _repeated(n_flows: int, mode: str, seed: int, scheduler: str) -> dict:
+    """One warm-up run, then ``SWEEP_REPEATS`` timed runs of one mode.
+
+    Returns the first timed run with ``seconds`` replaced by the median
+    and the spread added; every repeat must digest alike.
+    """
+    run_once(n_flows, mode, seed=seed, scheduler=scheduler)
+    runs = [
+        run_once(n_flows, mode, seed=seed, scheduler=scheduler)
+        for _ in range(SWEEP_REPEATS)
+    ]
+    for other in runs[1:]:
+        problems = _check_equivalent(n_flows, runs[0], other)
+        if problems:
+            raise SystemExit(
+                "repeat of %s at n=%d differs:\n  %s"
+                % (mode, n_flows, "\n  ".join(problems))
+            )
+    samples = sorted(run["seconds"] for run in runs)
+    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return dict(
+        runs[0],
+        seconds=statistics.median(samples),
+        iqr=q3 - q1,
+        samples=samples,
+    )
+
+
 def sweep(sizes, seed: int, scheduler: str) -> dict:
     points = []
     for n_flows in sizes:
@@ -267,10 +328,11 @@ def sweep(sizes, seed: int, scheduler: str) -> dict:
             )
         for mode in modes:
             print(f"[bench_scale] n={n_flows}: {mode} ...", flush=True)
-            runs[mode] = run_once(n_flows, mode, seed=seed, scheduler=scheduler)
+            runs[mode] = _repeated(n_flows, mode, seed=seed, scheduler=scheduler)
             print(
-                f"[bench_scale] n={n_flows}: {mode} "
-                f"{runs[mode]['seconds']:.3f}s",
+                f"[bench_scale] n={n_flows}: {mode} median "
+                f"{runs[mode]['seconds']:.3f}s (IQR {runs[mode]['iqr']:.3f}s "
+                f"over {SWEEP_REPEATS} warm runs)",
                 flush=True,
             )
         problems = _check_equivalent(n_flows, runs["incremental"], runs["vector"])
@@ -285,19 +347,20 @@ def sweep(sizes, seed: int, scheduler: str) -> dict:
             )
         inc_s = runs["incremental"]["seconds"]
         vec_s = runs["vector"]["seconds"]
-        point = {
-            "n_flows": n_flows,
-            "incremental_seconds": round(inc_s, 6),
-            "vector_seconds": round(vec_s, 6),
+        point = {"n_flows": n_flows}
+        for mode, run in runs.items():
+            point[f"{mode}_seconds"] = round(run["seconds"], 6)
+            point[f"{mode}_iqr_seconds"] = round(run["iqr"], 6)
+            point[f"{mode}_samples"] = [round(x, 6) for x in run["samples"]]
+        point.update({
             "vector_speedup": round(inc_s / vec_s, 2) if vec_s > 0 else None,
             "completed_flows": runs["incremental"]["completed"],
             "sim_end_time": runs["incremental"]["end_time"],
             "scheduler_invocations": runs["incremental"]["scheduler_invocations"],
             "trace_digest": runs["incremental"]["trace_digest"],
-        }
+        })
         if "reference" in runs:
             ref_s = runs["reference"]["seconds"]
-            point["reference_seconds"] = round(ref_s, 6)
             point["speedup"] = round(ref_s / inc_s, 2) if inc_s > 0 else None
         print(
             f"[bench_scale] n={n_flows}: vector speedup "
@@ -313,6 +376,17 @@ def sweep(sizes, seed: int, scheduler: str) -> dict:
     top = max(points, key=lambda p: p["n_flows"])
     return {
         "benchmark": "bench_scale",
+        "manifest": {
+            "git": _git_revision(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "seed": seed,
+            "scheduler": scheduler,
+            "sizes": [p["n_flows"] for p in points],
+            "warmup_runs": 1,
+            "repeats": SWEEP_REPEATS,
+            "digests": {str(p["n_flows"]): p["trace_digest"] for p in points},
+        },
         "scenario": {
             "topology": f"big_switch({N_HOSTS})",
             "scheduler": scheduler,

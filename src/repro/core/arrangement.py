@@ -20,6 +20,7 @@ finish before an earlier one under a valid computation arrangement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -97,8 +98,10 @@ class StaggeredArrangement(ArrangementFunction):
     distance: float
 
     def __post_init__(self) -> None:
-        if self.distance < 0:
-            raise ValueError(f"stagger distance must be >= 0, got {self.distance}")
+        if not 0.0 <= self.distance < math.inf:
+            raise ValueError(
+                f"stagger distance must be finite and >= 0, got {self.distance!r}"
+            )
 
     def offset(self, index: int) -> float:
         if index < 0:
@@ -126,8 +129,13 @@ class PhasedArrangement(ArrangementFunction):
     def __post_init__(self) -> None:
         if self.layers <= 0:
             raise ValueError(f"layers must be positive, got {self.layers}")
-        if self.forward_distance < 0 or self.backward_distance < 0:
-            raise ValueError("phase distances must be non-negative")
+        for name in ("forward_distance", "backward_distance"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"phase distances must be finite and non-negative; "
+                    f"{name} = {value!r}"
+                )
 
     def offset(self, index: int) -> float:
         if index < 0:
@@ -159,6 +167,9 @@ class TabledArrangement(ArrangementFunction):
     def __post_init__(self) -> None:
         offsets = tuple(float(x) for x in self.offsets)
         object.__setattr__(self, "offsets", offsets)
+        for j, value in enumerate(offsets):
+            if not math.isfinite(value):
+                raise ValueError(f"offsets must be finite; offsets[{j}] = {value!r}")
         for j in range(1, len(offsets)):
             if offsets[j] < offsets[j - 1] - EPS:
                 raise ValueError(
@@ -184,6 +195,9 @@ def arrangement_from_compute_durations(durations: Sequence[float]) -> TabledArra
     ``j-1``; its ideal finish time therefore trails the head flow by the sum
     of the first ``j`` computation durations (the "distances" of Fig. 6a).
     """
+    for duration in durations:
+        if not math.isfinite(duration):
+            raise ValueError(f"computation durations must be finite, got {duration!r}")
     offsets = [0.0]
     total = 0.0
     for duration in durations[:-1] if durations else []:

@@ -20,6 +20,7 @@ the property that distinguishes tardiness from flow completion time.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .arrangement import ArrangementFunction, CoflowArrangement
@@ -54,8 +55,8 @@ class EchelonFlow:
         job_id: Optional[str] = None,
         weight: float = 1.0,
     ) -> None:
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight}")
+        if not 0.0 < weight < math.inf:
+            raise ValueError(f"weight must be positive and finite, got {weight!r}")
         self.ef_id = ef_id
         self.arrangement = arrangement
         self.job_id = job_id

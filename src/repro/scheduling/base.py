@@ -118,6 +118,19 @@ class SchedulerView:
             return group.ideal_finish_time_of(state.flow)
         return state.ideal_finish_time
 
+    def ideal_finish_times(
+        self, group_id: Optional[str], states: Sequence[FlowState]
+    ) -> List[Optional[float]]:
+        """:meth:`ideal_finish_time` of each state of one group bucket.
+
+        Every state must carry ``group_id``; the group is looked up once
+        for the whole bucket instead of once per flow.
+        """
+        group = self.echelonflows.get(group_id) if group_id is not None else None
+        if group is not None and group.reference_time is not None:
+            return [group.ideal_finish_time_of(state.flow) for state in states]
+        return [state.ideal_finish_time for state in states]
+
 
 class Scheduler:
     """Base class: allocate rates for every active flow.

@@ -165,6 +165,13 @@ class NetworkModel:
         #: EchelonFlow buckets: group id -> (sorted fid list, state list).
         self._group_fids: Dict[Optional[str], List[int]] = {}
         self._group_states: Dict[Optional[str], List[FlowState]] = {}
+        #: Link-column interning for array schedulers (see
+        #: :meth:`link_columns`): link key -> dense column in first-touch
+        #: order, the inverse list, and each flow's path as a column
+        #: tuple, filled on first use so runs that never ask pay nothing.
+        self._column_of: Dict[Tuple[str, str], int] = {}
+        self._column_keys: List[Tuple[str, str]] = []
+        self._flow_columns: Dict[int, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # snapshot/fork support
@@ -257,6 +264,9 @@ class NetworkModel:
             gid: [twin._active[fid] for fid in fids]
             for gid, fids in self._group_fids.items()
         }
+        twin._column_of = dict(self._column_of)
+        twin._column_keys = list(self._column_keys)
+        twin._flow_columns = dict(self._flow_columns)
         return twin
 
     # ------------------------------------------------------------------
@@ -306,6 +316,7 @@ class NetworkModel:
         index = bisect_left(self._order, flow_id)
         del self._order[index]
         self._bucket_remove(state.flow.group_id, flow_id)
+        self._flow_columns.pop(flow_id, None)
         self._completed[flow_id] = state
 
     # -- group buckets --------------------------------------------------
@@ -471,6 +482,38 @@ class NetworkModel:
 
     def path(self, flow_id: int) -> Tuple[Link, ...]:
         return self._paths[flow_id]
+
+    def link_columns(self, flow_ids: Sequence[int]) -> List[Tuple[int, ...]]:
+        """Each flow's path as dense link columns, interned on first use.
+
+        Columns number link keys in first-touch order and never change
+        meaning, so a flow's column tuple stays valid until it is
+        rerouted or retired (both drop it); :meth:`column_keys` maps a
+        column back to its link key. Array schedulers index per-link
+        arrays with these instead of hashing link keys per flow.
+        """
+        cached = self._flow_columns
+        columns = list(map(cached.get, flow_ids))
+        if None in columns:
+            column_of = self._column_of
+            keys = self._column_keys
+            for i, fid in enumerate(flow_ids):
+                if columns[i] is not None:
+                    continue
+                path_columns = []
+                for link in self._paths[fid]:
+                    key = link.key
+                    column = column_of.get(key)
+                    if column is None:
+                        column = column_of[key] = len(keys)
+                        keys.append(key)
+                    path_columns.append(column)
+                columns[i] = cached[fid] = tuple(path_columns)
+        return columns
+
+    def column_keys(self) -> List[Tuple[str, str]]:
+        """Link key of every interned column, by column (read-only)."""
+        return self._column_keys
 
     def demand(self, flow_id: int, weight: float = 1.0) -> FlowDemand:
         if weight == 1.0:
@@ -868,6 +911,7 @@ class NetworkModel:
             self.accounting.unwatch(flow_id, old_path, old_rate)
             state.rate = 0.0
             self._paths[flow_id] = new_path
+            self._flow_columns.pop(flow_id, None)
             self._demands[flow_id] = FlowDemand(flow_id=flow_id, path=new_path)
             self._demands_rev += 1
             self.accounting.watch(flow_id, new_path)

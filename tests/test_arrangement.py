@@ -114,3 +114,35 @@ class TestValidateAndBuilders:
     def test_ideal_finish_times_rejects_negative_count(self):
         with pytest.raises(ValueError):
             CoflowArrangement().ideal_finish_times(0.0, -1)
+
+
+class TestNonFiniteRejected:
+    """A nan or inf offset yields nan deadlines, which make MADD's stage
+    grouping and ordering sorts depend on input order; every arrangement
+    rejects one at construction, naming the value."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_staggered_distance(self, bad):
+        with pytest.raises(ValueError, match=repr(bad)):
+            StaggeredArrangement(bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_tabled_offset(self, bad):
+        with pytest.raises(ValueError, match=r"offsets\[1\] = " + repr(bad)):
+            TabledArrangement([0.0, bad])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["forward_distance", "backward_distance"])
+    def test_phased_distances(self, field, bad):
+        kwargs = {"layers": 2, "forward_distance": 1.0, "backward_distance": 1.0}
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=f"{field} = {bad!r}"):
+            PhasedArrangement(**kwargs)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_compute_durations(self, position, bad):
+        durations = [1.0, 2.0, 3.0]
+        durations[position] = bad
+        with pytest.raises(ValueError, match=repr(bad)):
+            arrangement_from_compute_durations(durations)

@@ -160,17 +160,28 @@ def test_twin_on_interval_scheduling_and_background_flows():
 
 
 @pytest.mark.parametrize(
-    "primary, twin_kernel",
-    [("vector", "scalar"), ("incremental", "vector")],
-    ids=["vector-primary-scalar-twin", "scalar-primary-vector-twin"],
+    "scheduler, primary, twin_kernel",
+    [
+        (FairSharingScheduler, "vector", "scalar"),
+        (FairSharingScheduler, "incremental", "vector"),
+        (EchelonMaddScheduler, "vector", "scalar"),
+        (EchelonMaddScheduler, "incremental", "vector"),
+    ],
+    ids=[
+        "vector-primary-scalar-twin",
+        "scalar-primary-vector-twin",
+        "echelon-vector-primary-scalar-twin",
+        "echelon-scalar-primary-vector-twin",
+    ],
 )
-def test_twin_kernel_differential(primary, twin_kernel):
+def test_twin_kernel_differential(scheduler, primary, twin_kernel):
     # The scalar-vs-vector kernel identity, re-proven online: the primary
     # allocates with one kernel, the twin's shadow replay with the other,
-    # and every sampled invocation must agree at twin_tol=0.
+    # and every sampled invocation must agree at twin_tol=0. For echelon
+    # the "kernel" is EchelonMaddScheduler's array path.
     engine = Engine(
         big_switch(6, host_bandwidth=4.0),
-        FairSharingScheduler(),
+        scheduler(),
         scheduling_interval=0.25,
         allocation=primary,
         sanitizer=f"strict:twin=1.0,twin_kernel={twin_kernel}",

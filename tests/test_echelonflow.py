@@ -143,3 +143,11 @@ def test_total_tardiness_sums_eq4():
     }
     assert total_tardiness([ef1, ef2], finishes) == pytest.approx(4.0)
     assert total_tardiness([ef1, ef2], finishes, weighted=True) == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_weight_is_rejected(bad):
+    # A nan weight makes every weighted tardiness key nan, so MADD's
+    # ordering sorts would depend on input order.
+    with pytest.raises(ValueError, match=repr(bad)):
+        EchelonFlow("ef", CoflowArrangement(), weight=bad)
