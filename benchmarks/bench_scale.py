@@ -107,8 +107,9 @@ HUGE_FLOWS = 1_000_000
 #: ratio exceeds the checked-in baseline ratio by more than this.
 SMOKE_FACTOR = 2.0
 SMOKE_FLOWS = 400
-#: The vector guard runs past the auto-select threshold (2048 flows) so
-#: it measures the kernel the engine would actually pick at this size.
+#: The vector guard runs past the auto-select threshold
+#: (``VECTOR_AUTO_THRESHOLD``, 256 flows) so it measures the path the
+#: engine would actually pick at this size.
 VECTOR_SMOKE_FLOWS = 4000
 SMOKE_REPEATS = 3
 #: Measured runs per (point, mode) in a full sweep, after one warm-up.

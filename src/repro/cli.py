@@ -1028,8 +1028,9 @@ def cmd_whatif(args) -> int:
         print(f"error: cannot read {args.batch}: {exc}", file=sys.stderr)
         return 1
     except WhatIfQueryError as exc:
+        # A malformed spec exits 2, like the fault and noise grammars.
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     if not queries:
         print("error: batch file contains no queries", file=sys.stderr)
         return 1

@@ -43,18 +43,21 @@ flows in schedule order, so pacing never idles a link that has demand.
 path, :meth:`EchelonMaddScheduler.allocate` runs the same algorithm over
 a stage table (:class:`_StageTable`): one ``bincount`` gives every
 stage's link load, and the residual pass and backfill skip stages and
-flows already blocked by a saturated link. The rates are bit-identical
-to the scalar path's; see docs/performance.md ("Array MADD").
+flows already blocked by a saturated link. The table stays on the
+scheduler between calls and only drops retired flows while nothing else
+changed. The rates are bit-identical to the scalar path's; see
+docs/performance.md ("Array MADD").
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import chain, compress
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..core.echelonflow import EchelonFlow
 from ..core.flow import FlowState
 from ..core.units import EPS
 from ..simulator.allocation import greedy_priority_fill
@@ -101,6 +104,7 @@ class _Group:
         job_id: Optional[str] = None,
         weight: float = 1.0,
         registered: bool = True,
+        echelonflow: Optional[EchelonFlow] = None,
     ) -> None:
         self.group_id = group_id
         self.stages = sorted(stages, key=lambda s: s.deadline)
@@ -109,6 +113,24 @@ class _Group:
         #: Whether an EchelonFlow was reported for this traffic (Fig. 7's
         #: agent registration); unregistered flows are best-effort.
         self.registered = registered
+        #: The EchelonFlow the deadlines, weight and job were read from,
+        #: and its reference time then (see :meth:`same_source`).
+        self.echelonflow = echelonflow
+        self.reference_time = (
+            echelonflow.reference_time if echelonflow is not None else None
+        )
+
+    def same_source(self, echelonflows: Mapping[str, EchelonFlow]) -> bool:
+        """Is the group's EchelonFlow (or its absence) in ``echelonflows``
+        still the one, with the reference time and weight, that its
+        deadlines, weight and job were read from?"""
+        echelonflow = echelonflows.get(self.group_id)
+        if echelonflow is not self.echelonflow:
+            return False
+        return echelonflow is None or (
+            echelonflow.reference_time == self.reference_time
+            and echelonflow.weight == self.weight
+        )
 
     def projected_tardiness(self, now: float, available) -> float:
         """``max_g (now + Gamma_g - d_g)``: lateness if served alone now."""
@@ -192,6 +214,15 @@ class EchelonMaddScheduler(Scheduler):
         # Adapted MADD paces stages to their deadlines (idling capacity
         # on purpose); work conservation comes from the backfill pass.
         self.work_conserving = backfill
+        #: The array path's stage table, kept warm between calls.
+        self._table: Optional[_StageTable] = None
+
+    def __getstate__(self) -> Dict:
+        # The warm table holds a network and its live flow states, so
+        # copies and forks (both go through deepcopy) start cold.
+        state = self.__dict__.copy()
+        state["_table"] = None
+        return state
 
     # ------------------------------------------------------------------
 
@@ -249,7 +280,15 @@ class EchelonMaddScheduler(Scheduler):
             weight = echelonflow.weight if echelonflow is not None else 1.0
             if job_id is None:
                 job_id = states[0].flow.job_id
-            groups.append(_Group(group_id, stages, job_id=job_id, weight=weight))
+            groups.append(
+                _Group(
+                    group_id,
+                    stages,
+                    job_id=job_id,
+                    weight=weight,
+                    echelonflow=echelonflow,
+                )
+            )
         return groups
 
     @staticmethod
@@ -377,8 +416,9 @@ class EchelonMaddScheduler(Scheduler):
     # ------------------------------------------------------------------
 
     def allocate(self, view: SchedulerView) -> Dict[int, float]:
-        if view.flow_demands().use_vector:
+        if view.network.vector_active():
             return self._allocate_array(view)
+        self._table = None
         return self._allocate_scalar(view)
 
     def _allocate_scalar(self, view: SchedulerView) -> Dict[int, float]:
@@ -428,11 +468,14 @@ class EchelonMaddScheduler(Scheduler):
         builds them; :class:`_StageTable` then gives every stage's
         ``Gamma`` on full capacities at once and runs the residual pass
         and the backfill with exact skips of blocked stages and flows.
+        The table stays warm between calls: while only retires happen it
+        is patched (:meth:`_StageTable.patch`), not rebuilt.
         """
-        groups = self._build_groups(view)
-        table = _StageTable(groups, view.network)
+        table = self._table
+        if table is None or not table.patch(view):
+            table = self._table = _StageTable(self._build_groups(view), view.network)
         ordered = self._rank_groups(
-            groups, view.now, lambda: table.projected(view.now), table.bottleneck
+            table.groups, view.now, lambda: table.projected(view.now), table.bottleneck
         )
         schedule, order = table.schedule(ordered)
         # Every scheduled flow gets a key (zero until paced), inserted in
@@ -447,15 +490,21 @@ class EchelonMaddScheduler(Scheduler):
 
 
 class _StageTable:
-    """Every stage of one :meth:`EchelonMaddScheduler.allocate` call as
-    flat arrays (the array path).
+    """Every stage of the array path's groups as flat arrays, kept warm
+    between :meth:`EchelonMaddScheduler.allocate` calls.
 
     Stages are laid out group by group (build order), each group's
     stages in deadline order, flows in bucket/fid order, then path
     positions. ``entry_*`` arrays hold one entry per (flow, path
     position); ``pair_*`` arrays one per distinct (stage, link column),
-    sorted by stage then column. Links are the network's interned
-    columns (:meth:`~repro.simulator.network.NetworkModel.link_columns`).
+    sorted by stage then column, and ``entry_pair`` maps each entry to
+    its pair. Links are the network's interned columns
+    (:meth:`~repro.simulator.network.NetworkModel.link_columns`).
+
+    The layout depends only on which flows are active and on their
+    groups' EchelonFlows, so :meth:`patch` carries it across calls in
+    which flows only retired; each call then re-reads just ``remaining``,
+    the capacities and the pair loads (:meth:`_refresh`).
 
     Links only ever lose residual within one call, so a stage or flow
     that crosses a link at or below ``EPS`` stays blocked; both passes
@@ -463,22 +512,21 @@ class _StageTable:
     """
 
     def __init__(self, groups: List[_Group], network: NetworkModel) -> None:
-        stage_states: List[List[FlowState]] = []
-        deadlines: List[float] = []
-        index_of: Dict[int, int] = {}
-        group_first: List[int] = []
-        for i, group in enumerate(groups):
-            index_of[id(group)] = i
-            group_first.append(len(stage_states))
-            for stage in group.stages:
-                stage_states.append(stage.states)
-                deadlines.append(stage.deadline)
-        self.n_groups = len(groups)
-        self.index_of = index_of
-        self.group_first = group_first
-        self.deadlines = deadlines
-        self.n_stages = n_stages = len(stage_states)
-        self.states = states = list(chain.from_iterable(stage_states))
+        self.network = network
+        #: The network's structural revision this layout matches.
+        self.rev = network._demands_rev
+        self.groups = groups
+        self.stages = stages = [stage for group in groups for stage in group.stages]
+        self.group_first: List[int] = []
+        first = 0
+        for group in groups:
+            self.group_first.append(first)
+            first += len(group.stages)
+        self.deadlines = [stage.deadline for stage in stages]
+        self.n_stages = n_stages = len(stages)
+        self.states = states = list(
+            chain.from_iterable(stage.states for stage in stages)
+        )
         self.n_flows = n_flows = len(states)
         self.fids = [state.flow.flow_id for state in states]
         self.flow_cols = flow_cols = network.link_columns(self.fids)
@@ -487,25 +535,134 @@ class _StageTable:
             chain.from_iterable(flow_cols), dtype=np.intp, count=int(path_len.sum())
         )
         self.entry_flow = np.repeat(np.arange(n_flows), path_len)
-        self.entry_load = np.array([state.remaining for state in states])[
-            self.entry_flow
-        ]
         self.stage_size = np.fromiter(
-            map(len, stage_states), dtype=np.intp, count=n_stages
+            (len(stage.states) for stage in stages), dtype=np.intp, count=n_stages
         )
         self.flow_first = np.zeros(n_stages + 1, dtype=np.intp)
         np.cumsum(self.stage_size, out=self.flow_first[1:])
-        keys = network.column_keys()
-        self.n_cols = len(keys)
-        capacities = network.link_capacities()
-        self.full = np.fromiter(
-            (capacities[key] for key in keys), dtype=np.float64, count=self.n_cols
-        )
+        self.n_cols = len(network.column_keys())
         flow_stage = np.repeat(np.arange(n_stages), self.stage_size)
-        self.pair_stage, self.pair_col, self.pair_load = _row_loads(
-            flow_stage[self.entry_flow], self.entry_col, self.entry_load, self.n_cols
+        self.pair_stage, self.pair_col, self.entry_pair = _row_pairs(
+            flow_stage[self.entry_flow], self.entry_col, self.n_cols
         )
-        self.stage_pairs = np.searchsorted(self.pair_stage, np.arange(n_stages + 1))
+        self._index()
+        self._refresh()
+
+    def _index(self) -> None:
+        """Derive the group index and each stage's pair range."""
+        self.n_groups = len(self.groups)
+        self.index_of = {id(group): i for i, group in enumerate(self.groups)}
+        self.stage_pairs = np.searchsorted(
+            self.pair_stage, np.arange(self.n_stages + 1)
+        )
+
+    def _refresh(self) -> None:
+        """Read the per-call inputs: every flow's ``remaining`` (the
+        view has materialized them), the full link capacities (faults
+        change them) and, from those, the pair loads."""
+        remaining = np.fromiter(
+            (state.remaining for state in self.states),
+            dtype=np.float64,
+            count=self.n_flows,
+        )
+        self.entry_load = remaining[self.entry_flow]
+        self.pair_load = np.bincount(
+            self.entry_pair, weights=self.entry_load, minlength=len(self.pair_col)
+        )
+        capacities = self.network.link_capacities()
+        self.full = np.fromiter(
+            (capacities[key] for key in self.network.column_keys()),
+            dtype=np.float64,
+            count=self.n_cols,
+        )
+
+    def patch(self, view: SchedulerView) -> bool:
+        """Bring the table up to ``view``, or return False to have it
+        rebuilt.
+
+        The layout is reused only on the same network, if the network's
+        structural revision moved by exactly the number of table flows
+        retired since (injects and reroutes bump it too) and if every
+        surviving group's EchelonFlow is the same object with the same
+        reference time and weight. Retired flows are then deleted in
+        place (:meth:`_compact`), which is exactly the layout a fresh
+        build would give.
+        """
+        network = view.network
+        if network is not self.network:
+            return False
+        keep = np.fromiter(
+            (state.finish_time is None for state in self.states),
+            dtype=bool,
+            count=self.n_flows,
+        )
+        retired = self.n_flows - int(np.count_nonzero(keep))
+        if network._demands_rev - self.rev != retired or retired == self.n_flows:
+            return False
+        if retired:
+            self._compact(keep)
+        echelonflows = view.echelonflows
+        for group in self.groups:
+            if group.registered and not group.same_source(echelonflows):
+                return False
+        self.rev = network._demands_rev
+        self._refresh()
+        return True
+
+    def _compact(self, keep: np.ndarray) -> None:
+        """Delete the flows not in ``keep`` and every stage, pair and
+        group they leave empty.
+
+        Survivors keep their order, every remap is monotone and each
+        bin's surviving entries stay in entry order, so the table equals
+        a fresh build over the survivors, bit for bit.
+        """
+        entry_keep = keep[self.entry_flow]
+        self.states = states = list(compress(self.states, keep))
+        self.fids = list(compress(self.fids, keep))
+        self.flow_cols = list(compress(self.flow_cols, keep))
+        self.n_flows = len(states)
+        self.entry_col = self.entry_col[entry_keep]
+        self.entry_flow = (np.cumsum(keep) - 1)[self.entry_flow[entry_keep]]
+        # Stage sizes come from the table's own layout: a single-deadline
+        # stage's ``states`` is the network's live bucket, which retire
+        # has already shrunk.
+        size = np.add.reduceat(keep, self.flow_first[:-1], dtype=np.intp)
+        shrunk = size != self.stage_size
+        stage_keep = size > 0
+        entry_pair = self.entry_pair[entry_keep]
+        pair_keep = np.bincount(entry_pair, minlength=len(self.pair_col)) > 0
+        self.entry_pair = (np.cumsum(pair_keep) - 1)[entry_pair]
+        self.pair_col = self.pair_col[pair_keep]
+        self.pair_stage = (np.cumsum(stage_keep) - 1)[self.pair_stage[pair_keep]]
+        self.stage_size = size[stage_keep]
+        self.n_stages = len(self.stage_size)
+        self.flow_first = np.zeros(self.n_stages + 1, dtype=np.intp)
+        np.cumsum(self.stage_size, out=self.flow_first[1:])
+        self.deadlines = list(compress(self.deadlines, stage_keep))
+        self.stages = stages = list(compress(self.stages, stage_keep))
+        flow_first = self.flow_first.tolist()
+        for s in np.flatnonzero(shrunk[stage_keep]).tolist():
+            stages[s].states = states[flow_first[s] : flow_first[s + 1]]
+        group_stages = np.add.reduceat(stage_keep, self.group_first, dtype=np.intp)
+        group_shrunk = np.logical_or.reduceat(shrunk, self.group_first)
+        group_keep = group_stages > 0
+        self.groups = groups = list(compress(self.groups, group_keep))
+        bounds = [0]
+        bounds.extend(np.cumsum(group_stages[group_keep]).tolist())
+        self.group_first = bounds[:-1]
+        for g in np.flatnonzero(group_shrunk[group_keep]).tolist():
+            group = groups[g]
+            group.stages = stages[bounds[g] : bounds[g + 1]]
+            echelonflow = group.echelonflow
+            if echelonflow is None or echelonflow.job_id is None:
+                # _build_groups takes the job of the bucket's first flow.
+                first = min(
+                    chain.from_iterable(stage.states for stage in group.stages),
+                    key=lambda state: state.flow.flow_id,
+                )
+                group.job_id = first.flow.job_id
+        self._index()
 
     def projected(self, now: float) -> List[float]:
         """Each group's projected tardiness on full capacities:
@@ -521,9 +678,10 @@ class _StageTable:
         summed in the scalar group's stage-then-fid order (``sebf``)."""
         group_size = np.add.reduceat(self.stage_size, self.group_first)
         flow_group = np.repeat(np.arange(self.n_groups), group_size)
-        rows, cols, loads = _row_loads(
-            flow_group[self.entry_flow], self.entry_col, self.entry_load, self.n_cols
+        rows, cols, entry_pair = _row_pairs(
+            flow_group[self.entry_flow], self.entry_col, self.n_cols
         )
+        loads = np.bincount(entry_pair, weights=self.entry_load, minlength=len(cols))
         first = np.searchsorted(rows, np.arange(self.n_groups))
         return _row_gamma(cols, loads, self.full, first).tolist()
 
@@ -643,18 +801,22 @@ class _StageTable:
                     blocked[col_flows[col_bounds[col] : col_bounds[col + 1]]] = True
 
 
-def _row_loads(
-    entry_row: np.ndarray, entry_col: np.ndarray, entry_load: np.ndarray, n_cols: int
+def _row_pairs(
+    entry_row: np.ndarray, entry_col: np.ndarray, n_cols: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-(row, column) load sums as sorted ``(rows, cols, loads)``.
+    """The distinct (row, column) pairs as sorted ``(rows, cols)``, and
+    each entry's pair.
 
+    A pair's load is ``np.bincount(entry_pair, weights=entry_load)``:
     ``bincount`` adds each bin's weights sequentially in entry order, so
     a row whose entries come in :func:`link_load` order gets that
     function's sums bit for bit.
     """
-    pairs, inverse = np.unique(entry_row * n_cols + entry_col, return_inverse=True)
+    pairs, entry_pair = np.unique(
+        entry_row * n_cols + entry_col, return_inverse=True
+    )
     rows = pairs // n_cols
-    return rows, pairs - rows * n_cols, np.bincount(inverse, weights=entry_load)
+    return rows, pairs - rows * n_cols, entry_pair
 
 
 def _row_gamma(

@@ -520,8 +520,13 @@ class NetworkModel:
             return self._demands[flow_id]
         return FlowDemand(flow_id=flow_id, path=self._paths[flow_id], weight=weight)
 
-    def _vector_active(self) -> bool:
-        """Does the current kernel decision land on the vector path?"""
+    def vector_active(self) -> bool:
+        """Does the current kernel decision land on the vector path?
+
+        The :class:`DemandSet` kernel hint is stamped from this; schedulers
+        that only need the decision read it here instead of building the
+        demand set.
+        """
         return self._vector or (
             self._vector_auto and len(self._active) >= VECTOR_AUTO_THRESHOLD
         )
@@ -543,7 +548,7 @@ class NetworkModel:
         demands = self._demands
         demand_set = DemandSet(
             (demands[fid] for fid in self._order),
-            use_vector=self._vector_active(),
+            use_vector=self.vector_active(),
         )
         self._demands_cache = (rev, demand_set)
         return demand_set

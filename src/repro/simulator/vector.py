@@ -46,12 +46,14 @@ import numpy as np
 
 from ..core.units import EPS
 
-#: Active-flow count at which ``allocation="auto"`` engines switch the
-#: max-min kernel from scalar to vector. Below it the interning overhead
-#: (array builds, dict lookups) outweighs the loop savings; above it the
-#: scalar per-flow rounds dominate the run. The two paths are
-#: bit-identical, so the crossover only affects speed, never results.
-VECTOR_AUTO_THRESHOLD = 2048
+#: Active-flow count at which ``allocation="auto"`` engines switch to the
+#: array paths: the max-min kernel and echelon MADD's warm stage table.
+#: Below it the array builds and interning outweigh the loop savings;
+#: above it the scalar per-flow loops dominate the run. Warm whole-run
+#: timings put both crossovers below 256 flows (docs/performance.md,
+#: "Mode selection"). The paths are bit-identical, so the threshold only
+#: affects speed, never results.
+VECTOR_AUTO_THRESHOLD = 256
 
 
 class DenseIncidence:

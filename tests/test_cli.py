@@ -459,6 +459,17 @@ def test_parser_rejects_unknown_paradigm():
     ],
 )
 def test_whatif_bad_option_is_an_error_not_a_traceback(capsys, query):
-    assert main(["whatif", "--hosts", "4", "--jobs", "2", query]) == 1
+    assert main(["whatif", "--hosts", "4", "--jobs", "2", query]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: option ") and query in err
+
+
+def test_whatif_malformed_batch_line_exits_2(capsys, tmp_path):
+    batch = tmp_path / "queries.txt"
+    batch.write_text(
+        "# sweep\nkill_link:h1-core@50%\ndegrade_link:h1-core@50%,factor=abc\n"
+    )
+    argv = ["whatif", "--hosts", "4", "--jobs", "2", "--batch", str(batch)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: option ") and "factor=abc" in err

@@ -8,6 +8,7 @@ trace digest, and single ``allocate`` calls on random flow mixes must
 return equal dicts.
 """
 
+import copy
 import itertools
 import random
 
@@ -29,6 +30,7 @@ from repro.scheduling.base import SchedulerView
 from repro.scheduling.echelon_madd import ANCHORS
 from repro.simulator import Engine
 from repro.simulator.network import NetworkModel
+from repro.simulator.vector import VECTOR_AUTO_THRESHOLD
 from repro.simulator.trace import trace_digest
 from repro.topology import ShortestPathRouter, big_switch, leaf_spine
 
@@ -143,8 +145,9 @@ def _flow_mixes(draw):
     }
 
 
-def _view(mix, allocation):
-    """One network holding the mix, in the given allocation mode."""
+def _view(mix, allocation, unpinned=()):
+    """One network holding the mix, in the given allocation mode; the
+    EchelonFlows named in ``unpinned`` have no reference time yet."""
     topology = _topology(mix["kind"])
     network = NetworkModel(
         topology, ShortestPathRouter(topology), allocation=allocation
@@ -159,7 +162,8 @@ def _view(mix, allocation):
         arrangements.items(), mix["weights"]
     ):
         ef = EchelonFlow(ef_id, arrangement, job_id=job, weight=weight)
-        ef.set_reference_time(0.1)
+        if ef_id not in unpinned:
+            ef.set_reference_time(0.1)
         echelonflows[ef_id] = ef
     with use_flow_id_allocator(FlowIdAllocator()):
         for i, spec in enumerate(mix["flows"]):
@@ -241,3 +245,187 @@ def test_link_columns_are_dropped_on_reroute():
     keys = network.column_keys()
     assert after != before
     assert [keys[c] for c in after] == [link.key for link in network.path(fid)]
+
+
+# ------------------------------------------------------------ the warm table
+
+_STEPS = ("advance", "retire", "inject", "pin", "link0", "reroute", "demote")
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    mix=_flow_mixes(),
+    unpinned=st.sets(st.sampled_from(["ga", "gb", "gc"])),
+    steps=st.lists(
+        st.tuples(st.sampled_from(_STEPS), st.integers(0, 2**32)), max_size=8
+    ),
+    config=st.sampled_from(list(itertools.product(ORDERINGS, ANCHORS, [True, False]))),
+)
+def test_warm_table_matches_a_fresh_build_after_every_step(
+    mix, unpinned, steps, config
+):
+    """One scheduler keeps its stage table across a sequence of calls on
+    one network; after every step its dict equals a fresh scheduler's
+    array dict and the scalar dict, keys and key order included."""
+    ordering, anchor, backfill = config
+
+    def scheduler():
+        return EchelonMaddScheduler(ordering=ordering, anchor=anchor, backfill=backfill)
+
+    view = _view(mix, "vector", unpinned)
+    network = view.network
+    echelonflows = dict(view.echelonflows)
+    hosts = network.topology.hosts
+    warm = scheduler()
+    now = view.now
+    network.sync_active(now)
+    for step, (kind, seed) in enumerate([("advance", 0)] + steps):
+        rng = random.Random(seed)
+        active = network.active_states()
+        links = sorted(network.link_capacities())
+        if kind == "advance":
+            # Apply the last rates and run to the next completion.
+            network.set_rates(warm.allocate(SchedulerView(now, network, echelonflows)))
+            dt = network.earliest_finish_interval()
+            if dt < float("inf"):
+                network.advance(dt, now)
+                now += dt
+        elif kind == "retire" and active:
+            for state in rng.sample(active, rng.randint(1, len(active))):
+                network._retire(state, now)
+        elif kind == "inject":
+            src, dst = rng.sample(hosts, 2)
+            group = rng.choice([None, "ga", "gb", "gc", "loose", "fresh"])
+            network.inject(
+                Flow(
+                    src,
+                    dst,
+                    0.5 + rng.random(),
+                    group_id=group,
+                    index_in_group=rng.randrange(4),
+                    job_id="j9",
+                    flow_id=10_000 + step,
+                ),
+                now,
+            )
+        elif kind == "pin":
+            for ef in echelonflows.values():
+                if ef.reference_time is None:
+                    ef.set_reference_time(now)
+                    break
+        elif kind == "link0" and links:
+            network.set_link_capacity(rng.choice(links), 0.0)
+        elif kind == "reroute" and links:
+            key = rng.choice(links)
+            network.router.block_links([key])
+            network.reroute_flows([key])
+        elif kind == "demote":
+            # The quarantine swap: a down-weighted fork of one group.
+            ef_id = rng.choice(sorted(echelonflows))
+            demoted = echelonflows[ef_id].fork()
+            demoted.weight *= 0.5
+            echelonflows[ef_id] = demoted
+        view = SchedulerView(now=now, network=network, echelonflows=echelonflows)
+        assert network.vector_active()
+        with np.errstate(all="raise"):
+            warm_rates = warm.allocate(view)
+            fresh = scheduler().allocate(view)
+        scalar = warm._allocate_scalar(view)
+        assert warm_rates == fresh == scalar
+        assert list(warm_rates) == list(fresh) == list(scalar)
+
+
+def _bulk_engine():
+    """440 flows at t=0 on ``big_switch(16)``: registered staggered
+    EchelonFlows, unregistered groups and ungrouped flows, and a link
+    taken to 0 capacity after the snapshot point."""
+    engine = Engine(
+        big_switch(16, host_bandwidth=8.0),
+        EchelonMaddScheduler(),
+        scheduling_interval=0.2,
+        faults="link_down:h3-core@0.5+0.3",
+    )
+    rng = random.Random(11)
+    for g in range(10):
+        ef = EchelonFlow(f"ef{g}", StaggeredArrangement(0.1), job_id=f"j{g % 3}")
+        engine.register_echelonflow(ef)
+    for i in range(440):
+        src = rng.randrange(16)
+        dst = (src + rng.randrange(1, 16)) % 16
+        group = (f"ef{i % 10}", f"loose{i % 4}", None)[i % 3]
+        flow = Flow(
+            f"h{src}",
+            f"h{dst}",
+            1.0 + rng.random(),
+            group_id=group,
+            index_in_group=(i // 30) % 4,
+            job_id=f"j{i % 3}",
+        )
+        if group in engine.echelonflows:
+            engine.echelonflows[group].add_flow(flow)
+        engine.inject_background_flow(flow, at_time=0.0)
+    return engine
+
+
+def test_snapshot_and_fork_of_a_warm_run_resume_digest_identical():
+    with use_flow_id_allocator(FlowIdAllocator()):
+        reference = trace_digest(_bulk_engine().run())
+    with use_flow_id_allocator(FlowIdAllocator()):
+        walker = _bulk_engine()
+    walker.run(until=0.3)
+    assert walker.network.active_count > VECTOR_AUTO_THRESHOLD
+    assert walker.scheduler._table is not None  # warm at the pause
+    handle = walker.snapshot()
+    fork = walker.fork(handle)
+    assert fork.scheduler._table is None
+    assert trace_digest(fork.run()) == reference
+    assert trace_digest(walker.run()) == reference
+    assert trace_digest(walker.restore(handle).run()) == reference
+
+
+def test_copies_and_forks_of_a_warm_scheduler_carry_no_table():
+    mix = {
+        "kind": "big_switch",
+        "flows": [("h0", "h1", 1.0, "ga", 0, 0.0, None)] * 4
+        + [("h2", "h3", 0.5, "gb", 2, 0.0, None)] * 4,
+        "weights": [1.0, 1.0, 1.0],
+        "now": 0.5,
+        "dead_links": [],
+    }
+    view = _view(mix, "vector")
+    scheduler = EchelonMaddScheduler()
+    scheduler.allocate(view)
+    table = scheduler._table
+    assert table is not None and table.network is view.network
+    # A retire patches the same table instead of rebuilding it.
+    view.network._retire(view.network.active_states()[0], view.now)
+    scheduler.allocate(SchedulerView(view.now, view.network, view.echelonflows))
+    assert scheduler._table is table and table.n_flows == 7
+    for twin in (copy.deepcopy(scheduler), scheduler.fork()):
+        assert twin._table is None
+        assert twin.ordering == scheduler.ordering
+    assert scheduler._table is table
+
+
+def test_warm_group_takes_the_job_of_its_first_surviving_flow():
+    """A group without an EchelonFlow takes its job from its first flow;
+    once that flow retires, the patched group must move to the next
+    flow's job, as a fresh build does (here it decides the ranking)."""
+    topology = big_switch(6, host_bandwidth=1.0)
+    network = NetworkModel(topology, ShortestPathRouter(topology), allocation="vector")
+    with use_flow_id_allocator(FlowIdAllocator()):
+        first = network.inject(Flow("h0", "h1", 1.0, group_id="a", job_id="j2"), 0.0)
+        second = network.inject(Flow("h2", "h3", 1.0, group_id="a", job_id="j0"), 0.0)
+        other = network.inject(Flow("h4", "h5", 1.0, group_id="b", job_id="j1"), 0.0)
+    scheduler = EchelonMaddScheduler()
+    scheduler.allocate(SchedulerView(0.0, network))
+    table = scheduler._table
+    network._retire(first, 0.0)
+    view = SchedulerView(0.0, network)
+    rates = scheduler.allocate(view)
+    assert scheduler._table is table
+    assert [group.job_id for group in table.groups] == ["j0", "j1"]
+    assert list(rates) == [second.flow.flow_id, other.flow.flow_id]
+    assert list(rates) == list(EchelonMaddScheduler().allocate(view))
