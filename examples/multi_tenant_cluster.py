@@ -24,6 +24,7 @@ from repro.scheduling import (
     EchelonMaddScheduler,
     FairSharingScheduler,
 )
+from repro.system import ControlPlaneRuntime
 from repro.workloads import build_dp_allreduce, build_fsdp, build_pp_gpipe
 
 
@@ -75,7 +76,9 @@ def main():
         ("echelon (protective)", EchelonMaddScheduler(ordering="tardiness")),
     ):
         run = run_cluster(
-            topology(), make_jobs(), coordinator=Coordinator(algorithm=algorithm)
+            topology(),
+            make_jobs(),
+            runtime=ControlPlaneRuntime(Coordinator(algorithm=algorithm)),
         )
         jcts = run.job_completion_times()
         rows.append(

@@ -72,7 +72,7 @@ from .faults import (
     parse_fault_spec,
 )
 from .simulator import Engine, TaskDag
-from .system import Coordinator, EchelonFlowAgent, run_cluster
+from .system import Coordinator, run_cluster
 from .topology import (
     Topology,
     big_switch,
@@ -143,7 +143,6 @@ __all__ = [
     "uniform_model",
     # system
     "Coordinator",
-    "EchelonFlowAgent",
     "run_cluster",
     # analysis
     "comp_finish_time",

@@ -26,7 +26,7 @@ rate dictionaries, which keeps them unit-testable and hypothesis-friendly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.units import EPS
 from ..topology.graph import Link
@@ -309,14 +309,25 @@ def max_min_fair(
         for demand in active.values():
             for link in demand.path:
                 link_weight[link.key] = link_weight.get(link.key, 0.0) + demand.weight
+        # The links and capped flows that set the rise are tracked for
+        # the numerical corner below.
         rise = float("inf")
+        tight_links: List[Tuple[str, str]] = []
+        tight_caps: List[int] = []
         for key, weight_sum in link_weight.items():
             if weight_sum > 0:
-                rise = min(rise, remaining[key] / weight_sum)
+                ratio = remaining[key] / weight_sum
+                if ratio < rise:
+                    rise, tight_links = ratio, [key]
+                elif ratio == rise:
+                    tight_links.append(key)
         for demand in active.values():
             if demand.cap is not None:
                 headroom = (demand.cap - rates[demand.flow_id]) / demand.weight
-                rise = min(rise, headroom)
+                if headroom < rise:
+                    rise, tight_links, tight_caps = headroom, [], [demand.flow_id]
+                elif headroom == rise:
+                    tight_caps.append(demand.flow_id)
         if rise == float("inf"):
             raise RuntimeError("unbounded max-min allocation (no constraints)")
         rise = max(0.0, rise)
@@ -341,8 +352,18 @@ def max_min_fair(
             if at_cap or on_full_link:
                 frozen.append(flow_id)
         if not frozen:
-            # Numerical corner: force-freeze the most constrained flow.
-            frozen = [min(active)]
+            # Numerical corner: rounding left the binding link (or cap) a
+            # residue above EPS. Force-freeze the lowest flow id among the
+            # flows whose own constraint set this round's rise.
+            tight = set(tight_links)
+            frozen = [
+                min(
+                    flow_id
+                    for flow_id, demand in active.items()
+                    if flow_id in tight_caps
+                    or any(link.key in tight for link in demand.path)
+                )
+            ]
         for flow_id in frozen:
             del active[flow_id]
     return rates

@@ -184,17 +184,7 @@ class Engine:
         self.check = sanitizer
         if self.check is not None:
             self.check.attach(self)
-        # Give wrapper schedulers (ResilientScheduler) an engine handle
-        # for obs logging and fallback bookkeeping; walk the wrapper
-        # chain so profiling/memoizing layers stay transparent.
-        layer = scheduler
-        seen = set()
-        while layer is not None and id(layer) not in seen:
-            seen.add(id(layer))
-            hook = getattr(layer, "on_attached", None)
-            if hook is not None:
-                hook(self)
-            layer = getattr(layer, "inner", None)
+        self._attach_scheduler()
         if faults is not None and faults is not False:
             # Deferred import: repro.faults sits on top of the simulator.
             from ..faults import FaultInjector, FaultSchedule
@@ -233,6 +223,23 @@ class Engine:
         #: True while run() is on the stack; snapshots are only legal
         #: between run() calls.
         self._in_run = False
+
+    def _attach_scheduler(self) -> None:
+        """Call ``on_attached(self)`` on every layer of the scheduler.
+
+        Gives wrapper schedulers (ResilientScheduler, the control-plane
+        runtime) an engine handle for obs logging and fallback
+        bookkeeping; walks the ``inner`` chain so profiling/memoizing
+        layers stay transparent.
+        """
+        layer = self.scheduler
+        seen = set()
+        while layer is not None and id(layer) not in seen:
+            seen.add(id(layer))
+            hook = getattr(layer, "on_attached", None)
+            if hook is not None:
+                hook(self)
+            layer = getattr(layer, "inner", None)
 
     # ------------------------------------------------------------------
     # submission API

@@ -365,14 +365,7 @@ def materialize(handle: StateHandle, target: Optional[Engine] = None) -> Engine:
     engine.check = state.check.fork() if state.check is not None else None
     if engine.check is not None:
         engine.check.attach(engine)
-    layer = engine.scheduler
-    seen = set()
-    while layer is not None and id(layer) not in seen:
-        seen.add(id(layer))
-        hook = getattr(layer, "on_attached", None)
-        if hook is not None:
-            hook(engine)
-        layer = getattr(layer, "inner", None)
+    engine._attach_scheduler()
     engine.faults = _materialize_faults(state, engine)
 
     engine.scheduling_interval = state.scheduling_interval

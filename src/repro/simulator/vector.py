@@ -248,18 +248,16 @@ def max_min_fair_vector(
         entry_w = live[rows]
         link_weight = np.bincount(cols, weights=entry_w, minlength=n_links)
         constrained = link_weight > 0.0
-        rise = float("inf")
-        if constrained.any():
-            rise = float(
-                np.min(remaining[constrained] / link_weight[constrained])
-            )
+        ratios = np.full(n_links, np.inf)
+        ratios[constrained] = remaining[constrained] / link_weight[constrained]
+        bound = float(np.min(ratios)) if n_links else float("inf")
         act_capped = capped_rows[active[capped_rows]]
+        heads = (caps[act_capped] - rates[act_capped]) / weights[act_capped]
         if act_capped.size:
-            heads = (caps[act_capped] - rates[act_capped]) / weights[act_capped]
-            rise = min(rise, float(np.min(heads)))
-        if rise == float("inf"):
+            bound = min(bound, float(np.min(heads)))
+        if bound == float("inf"):
             raise RuntimeError("unbounded max-min allocation (no constraints)")
-        rise = max(0.0, rise)
+        rise = max(0.0, bound)
 
         rates = rates + rise * live
         consumed = np.bincount(cols, weights=rise * entry_w, minlength=n_links)
@@ -276,9 +274,15 @@ def max_min_fair_vector(
             at_cap[act_capped] = rates[act_capped] >= caps[act_capped] - EPS
         newly = active & (on_full | at_cap)
         if not newly.any():
-            # Numerical corner: force-freeze the lowest active flow id,
-            # matching the scalar kernel's ``min(active)``.
-            act_idx = np.nonzero(active)[0]
+            # Numerical corner, as in the scalar kernel: force-freeze the
+            # lowest flow id among the active flows whose own link ratio
+            # or cap headroom set this round's rise.
+            binding = np.zeros(n, dtype=bool)
+            binding_entries = (ratios == bound)[cols]
+            if binding_entries.any():
+                binding = np.bincount(rows[binding_entries], minlength=n) > 0
+            binding[act_capped[heads == bound]] = True
+            act_idx = np.nonzero(active & binding)[0]
             newly = np.zeros(n, dtype=bool)
             newly[act_idx[np.argmin(incidence.fids[act_idx])]] = True
         active &= ~newly

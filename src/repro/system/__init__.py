@@ -1,8 +1,7 @@
 """The Fig. 7 system sketch: agents, coordinator, and queue enforcement."""
 
-from .agent import EchelonFlowAgent
 from .backend import QueueEnforcedScheduler, allocation_error, quantize_to_queue
-from .coordinator import CoordinatedScheduler, Coordinator
+from .coordinator import Coordinator
 from .framework import ClusterRun, FrameworkInstance, run_cluster
 from .messages import (
     ArrangementDescriptor,
@@ -19,13 +18,10 @@ from .runtime import (
     RpcSpec,
     RuntimeAgent,
     run_chaos_suite,
-    run_control_cluster,
 )
 
 __all__ = [
-    "EchelonFlowAgent",
     "Coordinator",
-    "CoordinatedScheduler",
     "QueueEnforcedScheduler",
     "quantize_to_queue",
     "allocation_error",
@@ -43,6 +39,5 @@ __all__ = [
     "RuntimeAgent",
     "RpcChannel",
     "RpcSpec",
-    "run_control_cluster",
     "run_chaos_suite",
 ]

@@ -7,7 +7,8 @@ the framework role: it reports every EchelonFlow through its agent (rather
 than registering directly with the engine) and then launches the job.
 
 :func:`run_cluster` is the whole Fig. 7 loop in one call: N frameworks,
-N agents, one coordinator, one shared network.
+N agents, one coordinator behind the control-plane runtime, one shared
+network.
 """
 
 from __future__ import annotations
@@ -19,9 +20,13 @@ from ..simulator.engine import Engine
 from ..simulator.trace import SimulationTrace
 from ..topology.graph import Topology
 from ..workloads.job import BuiltJob
-from .agent import EchelonFlowAgent
 from .backend import QueueEnforcedScheduler
-from .coordinator import CoordinatedScheduler, Coordinator
+from .coordinator import Coordinator
+from .runtime.runtime import (
+    ControlPlaneRuntime,
+    ControlPlaneScheduler,
+    RuntimeAgent,
+)
 
 
 @dataclass
@@ -29,7 +34,7 @@ class FrameworkInstance:
     """One training framework (job) attached to an agent."""
 
     job: BuiltJob
-    agent: EchelonFlowAgent
+    agent: RuntimeAgent
     arrival_time: float = 0.0
 
     def launch(self, engine: Engine) -> None:
@@ -56,9 +61,13 @@ class ClusterRun:
     """Results of a full system run."""
 
     trace: SimulationTrace
-    coordinator: Coordinator
+    runtime: ControlPlaneRuntime
     engine: Engine
     frameworks: List[FrameworkInstance]
+
+    @property
+    def coordinator(self) -> Coordinator:
+        return self.runtime.coordinator
 
     def job_completion_times(self) -> Dict[str, float]:
         return {
@@ -71,28 +80,41 @@ class ClusterRun:
 def run_cluster(
     topology: Topology,
     jobs: Sequence[Tuple[BuiltJob, float]],
-    coordinator: Optional[Coordinator] = None,
+    runtime: Optional[ControlPlaneRuntime] = None,
     enforce_with_queues: bool = False,
     num_queues: int = 8,
+    faults=None,
+    sanitizer=None,
+    instrumentation=None,
 ) -> ClusterRun:
     """Run jobs through the full agent/coordinator/backend stack.
 
-    ``jobs`` is a list of (built job, arrival time). With
+    ``jobs`` is a list of (built job, arrival time). One
+    :class:`RuntimeAgent` per job reports to the ``runtime``'s
+    coordinator; the default runtime has an identity RPC channel, so
+    it adds nothing over the bare coordinator algorithm. With
     ``enforce_with_queues`` the coordinator's allocation passes through the
     WFQ quantization of Section 5 before reaching the network.
+    ``faults``, ``sanitizer`` and ``instrumentation`` go to the engine.
     """
-    coordinator = coordinator or Coordinator()
-    scheduler = CoordinatedScheduler(coordinator)
+    runtime = runtime or ControlPlaneRuntime()
+    scheduler = ControlPlaneScheduler(runtime)
     if enforce_with_queues:
         scheduler = QueueEnforcedScheduler(scheduler, num_queues=num_queues)
-    engine = Engine(topology, scheduler)
+    engine = Engine(
+        topology,
+        scheduler,
+        faults=faults,
+        sanitizer=sanitizer,
+        instrumentation=instrumentation,
+    )
     frameworks: List[FrameworkInstance] = []
     for job, arrival in jobs:
-        agent = EchelonFlowAgent(framework=job.job_id, coordinator=coordinator)
+        agent = runtime.spawn_agent(job.job_id)
         instance = FrameworkInstance(job=job, agent=agent, arrival_time=arrival)
         instance.launch(engine)
         frameworks.append(instance)
     trace = engine.run()
     return ClusterRun(
-        trace=trace, coordinator=coordinator, engine=engine, frameworks=frameworks
+        trace=trace, runtime=runtime, engine=engine, frameworks=frameworks
     )

@@ -14,6 +14,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.echelonflow import EchelonFlow
+
 
 class ArrangementKind(enum.Enum):
     """Wire encoding of the arrangement function families of Section 4."""
@@ -99,6 +101,41 @@ class EchelonFlowRequest:
     framework: str
     arrangement: ArrangementDescriptor
     flows: Tuple[FlowInfo, ...]
+    weight: float = 1.0
+
+    @classmethod
+    def describe(
+        cls, echelonflow: EchelonFlow, framework: str
+    ) -> "EchelonFlowRequest":
+        """Encode a framework's EchelonFlow for the wire."""
+        return cls(
+            ef_id=echelonflow.ef_id,
+            job_id=echelonflow.job_id or framework,
+            framework=framework,
+            arrangement=ArrangementDescriptor.from_arrangement(
+                echelonflow.arrangement, echelonflow.index_count
+            ),
+            flows=tuple(
+                FlowInfo(
+                    flow_id=flow.flow_id,
+                    src=flow.src,
+                    dst=flow.dst,
+                    size=flow.size,
+                    index_in_group=flow.index_in_group,
+                )
+                for flow in echelonflow.flows
+            ),
+            weight=echelonflow.weight,
+        )
+
+    def build(self) -> EchelonFlow:
+        """The coordinator-side EchelonFlow: no members, reference unpinned."""
+        return EchelonFlow(
+            self.ef_id,
+            self.arrangement.build(),
+            job_id=self.job_id,
+            weight=self.weight,
+        )
 
 
 @dataclass(frozen=True)

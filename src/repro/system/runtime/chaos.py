@@ -8,8 +8,8 @@ runtime under every control-plane failure mode and grades the outcome:
 * **bounded inflation** -- each job's JCT inflates at most
   ``inflation_bound``x over the fault-free baseline;
 * **bit-identity** -- the identity-channel baseline produces a SHA-256
-  trace digest equal to the direct in-process path
-  (:func:`repro.system.run_cluster`): the runtime adds *zero* behaviour
+  trace digest equal to the bare scheduler on the engine (no agents, no
+  coordinator, no runtime): the Fig. 7 stack adds *zero* behaviour
   when nothing can fail;
 * **determinism** -- every scenario run twice per ``(spec, seed)``
   digests identically (live == replay).
@@ -20,85 +20,20 @@ CI job runs it under ``REPRO_CHECK=strict`` and uploads the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...core import FlowIdAllocator, use_flow_id_allocator
 from ...core.units import gbps, megabytes
+from ...scheduling.echelon_madd import EchelonMaddScheduler
 from ...simulator.engine import Engine
-from ...simulator.trace import SimulationTrace, trace_digest
+from ...simulator.trace import trace_digest
 from ...topology import big_switch
 from ...topology.graph import Topology
 from ...workloads import build_dp_allreduce, build_fsdp, build_tp_megatron
 from ...workloads.job import BuiltJob
 from ...workloads.model import uniform_model
-from ..coordinator import Coordinator
-from ..framework import FrameworkInstance, run_cluster
-from .runtime import ControlPlaneRuntime, ControlPlaneScheduler
-
-
-@dataclass
-class ControlClusterRun:
-    """Results of one run through the control-plane runtime."""
-
-    trace: SimulationTrace
-    runtime: ControlPlaneRuntime
-    engine: Engine
-    frameworks: List[FrameworkInstance]
-
-    @property
-    def coordinator(self) -> Coordinator:
-        return self.runtime.coordinator
-
-    def job_completion_times(self) -> Dict[str, float]:
-        return {
-            fw.job.job_id: self.engine.job_completion_time(fw.job.job_id)
-            - fw.arrival_time
-            for fw in self.frameworks
-        }
-
-
-def run_control_cluster(
-    topology: Topology,
-    jobs: Sequence[Tuple[BuiltJob, float]],
-    runtime: Optional[ControlPlaneRuntime] = None,
-    rpc: Optional[object] = None,
-    seed: Optional[int] = None,
-    faults=None,
-    sanitizer=None,
-    instrumentation=None,
-) -> ControlClusterRun:
-    """Run jobs through the fault-tolerant Fig. 7 stack.
-
-    The control-plane analogue of :func:`repro.system.run_cluster`:
-    one :class:`RuntimeAgent` per job, one shared coordinator, all
-    traffic over the runtime's RPC channel. ``rpc``/``seed`` build a
-    default runtime when none is given.
-    """
-    runtime = runtime or ControlPlaneRuntime(rpc=rpc, seed=seed)
-    scheduler = ControlPlaneScheduler(runtime)
-    engine = Engine(
-        topology,
-        scheduler,
-        faults=faults,
-        sanitizer=sanitizer,
-        instrumentation=instrumentation,
-    )
-    frameworks: List[FrameworkInstance] = []
-    for job, arrival in jobs:
-        agent = runtime.spawn_agent(job.job_id)
-        instance = FrameworkInstance(job=job, agent=agent, arrival_time=arrival)
-        instance.launch(engine)
-        frameworks.append(instance)
-    trace = engine.run()
-    return ControlClusterRun(
-        trace=trace, runtime=runtime, engine=engine, frameworks=frameworks
-    )
-
-
-# ----------------------------------------------------------------------
-# the scored scenario suite
-# ----------------------------------------------------------------------
+from .runtime import ControlPlaneRuntime
 
 #: Scenario names in suite order; ``--smoke`` keeps the starred core.
 SCENARIO_NAMES = (
@@ -195,12 +130,16 @@ def build_chaos_scenarios(
 
 def _run_scenario(
     scenario: ChaosScenario, seed: int, makespan: float, sanitizer=None
-) -> ControlClusterRun:
-    """One fresh, reproducible run: private flow ids, fresh jobs.
+):
+    """One fresh, reproducible :class:`~repro.system.ClusterRun`.
 
-    Runtime liveness knobs scale with the workload clock (leases in
-    absolute seconds would outlive this sub-second workload entirely).
+    Private flow ids, fresh jobs. Runtime liveness knobs scale with the
+    workload clock (leases in absolute seconds would outlive this
+    sub-second workload entirely).
     """
+    # Deferred import: repro.system.framework imports this package.
+    from ..framework import run_cluster
+
     runtime = ControlPlaneRuntime(
         rpc=scenario.rpc,
         seed=seed,
@@ -208,7 +147,7 @@ def _run_scenario(
         heartbeat=0.01 * makespan,
     )
     with use_flow_id_allocator(FlowIdAllocator()):
-        return run_control_cluster(
+        return run_cluster(
             _topology(),
             _jobs(),
             runtime=runtime,
@@ -218,10 +157,22 @@ def _run_scenario(
 
 
 def _direct_baseline() -> Tuple[Dict[str, float], str]:
-    """The in-process reference path (run_cluster), for bit-identity."""
+    """The bare scheduler, no control plane: the bit-identity reference.
+
+    Each job's own EchelonFlows go straight to the engine, which runs
+    :class:`EchelonMaddScheduler` -- the coordinator's default algorithm.
+    """
     with use_flow_id_allocator(FlowIdAllocator()):
-        run = run_cluster(_topology(), _jobs())
-    return run.job_completion_times(), trace_digest(run.trace)
+        jobs = _jobs()
+        engine = Engine(_topology(), EchelonMaddScheduler(), sanitizer=False)
+        for job, arrival in jobs:
+            engine.submit(job.dag, at_time=arrival, echelonflows=job.echelonflows)
+        trace = engine.run()
+    jcts = {
+        job.job_id: engine.job_completion_time(job.job_id) - arrival
+        for job, arrival in jobs
+    }
+    return jcts, trace_digest(trace)
 
 
 def run_chaos_suite(
@@ -235,7 +186,7 @@ def run_chaos_suite(
 
     ``report["ok"]`` aggregates every check: per-scenario completion,
     JCT inflation <= ``inflation_bound``, two-run determinism, and the
-    identity-channel bit-identity against the direct in-process path.
+    identity-channel bit-identity against the bare scheduler.
     """
     direct_jcts, direct_digest = _direct_baseline()
     makespan = max(direct_jcts.values())

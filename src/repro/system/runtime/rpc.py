@@ -23,8 +23,8 @@ Spec grammar (``parse_rpc_spec``), mirroring the telemetry
 
 ``off`` (or an empty string / ``None``) is the identity channel:
 nothing is dropped, delayed, or duplicated, and the runtime collapses
-to the direct in-process path (bit-identical to
-:func:`repro.system.run_cluster`). Unknown keys raise
+to its passive mode (bit-identical to the bare scheduler). Unknown
+keys raise
 :class:`RpcSpecError`.
 """
 

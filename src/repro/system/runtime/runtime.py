@@ -1,21 +1,21 @@
 """Fault-tolerant control-plane runtime for the Fig. 7 system.
 
-:class:`ControlPlaneRuntime` promotes the in-process Agent/Coordinator
-objects of :mod:`repro.system` to a crash-safe service model. Every
-Agent<->Coordinator interaction -- EchelonFlow registration, liveness
-heartbeats, allocation rounds, post-failover resync -- crosses one
-seeded :class:`~repro.system.runtime.rpc.RpcChannel`, so message loss,
-delay, and duplication are first-class and deterministic per
-``(spec, seed)``.
+:class:`ControlPlaneRuntime` wraps the :class:`~repro.system.Coordinator`
+in a crash-safe service model; :func:`repro.system.run_cluster` drives
+every Fig. 7 run through it. Every Agent<->Coordinator interaction --
+EchelonFlow registration, liveness heartbeats, allocation rounds,
+post-failover resync -- crosses one seeded
+:class:`~repro.system.runtime.rpc.RpcChannel`, so message loss, delay,
+and duplication are first-class and deterministic per ``(spec, seed)``.
 
 The runtime has two modes, resolved once per run:
 
 * **passive** -- the channel is the identity and the fault schedule
-  contains no control-plane actions. Registration and allocation take
-  *exactly* the code path of :class:`~repro.system.EchelonFlowAgent` /
-  :class:`~repro.system.CoordinatedScheduler`, so a passive run is
-  bit-identical to :func:`repro.system.run_cluster` (the chaos suite
-  asserts this by SHA-256 trace digest).
+  contains no control-plane actions. Registration goes straight to
+  ``Coordinator.register`` and every round straight to
+  ``Coordinator.allocate`` over the merged EchelonFlow view, so a
+  passive run is bit-identical to the bare scheduler on the engine (the
+  chaos suite asserts this by SHA-256 trace digest).
 
 * **active** -- anything can fail. The runtime then maintains:
 
@@ -68,8 +68,8 @@ from typing import Dict, List, Optional, Tuple
 from ...core.echelonflow import EchelonFlow
 from ...scheduling.base import Scheduler, SchedulerView
 from ...scheduling.fairshare import FairSharingScheduler
-from ..coordinator import CoordinatedScheduler, Coordinator
-from ..messages import ArrangementDescriptor, EchelonFlowRequest, FlowInfo
+from ..coordinator import Coordinator
+from ..messages import EchelonFlowRequest
 from .rpc import RpcChannel, RpcSpec, parse_rpc_spec
 
 #: Weight multiplier for quarantined tenants: small enough that the
@@ -82,9 +82,8 @@ QUARANTINE_WEIGHT = 1e-3
 class RuntimeAgent:
     """Per-framework agent process speaking to the coordinator over RPC.
 
-    Duck-types :class:`~repro.system.EchelonFlowAgent` where it matters
-    (``report_echelonflow`` / ``registered``), so
-    :class:`~repro.system.FrameworkInstance` drives it unchanged.
+    The Fig. 7 agent: :class:`~repro.system.FrameworkInstance` reports
+    its job's EchelonFlows through ``report_echelonflow``.
     """
 
     def __init__(self, framework: str, runtime: "ControlPlaneRuntime") -> None:
@@ -103,8 +102,7 @@ class RuntimeAgent:
         self.synced_epoch = 0
         #: ef_id -> (request, live EchelonFlow) for everything reported.
         self.records: Dict[str, Tuple[EchelonFlowRequest, EchelonFlow]] = {}
-        #: ef_id -> the object scheduling consults (parity with
-        #: EchelonFlowAgent.registered).
+        #: ef_id -> the object scheduling consults.
         self.registered: Dict[str, EchelonFlow] = {}
 
     # -- EchelonFlow API -------------------------------------------------
@@ -115,25 +113,7 @@ class RuntimeAgent:
             raise ValueError(
                 f"agent {self.framework!r} already reported {echelonflow.ef_id!r}"
             )
-        flows = tuple(
-            FlowInfo(
-                flow_id=flow.flow_id,
-                src=flow.src,
-                dst=flow.dst,
-                size=flow.size,
-                index_in_group=flow.index_in_group,
-            )
-            for flow in echelonflow.flows
-        )
-        request = EchelonFlowRequest(
-            ef_id=echelonflow.ef_id,
-            job_id=echelonflow.job_id or self.framework,
-            framework=self.framework,
-            arrangement=ArrangementDescriptor.from_arrangement(
-                echelonflow.arrangement, echelonflow.index_count
-            ),
-            flows=flows,
-        )
+        request = EchelonFlowRequest.describe(echelonflow, self.framework)
         registered = self.runtime.register(self, request, echelonflow)
         self.registered[echelonflow.ef_id] = registered
         return registered
@@ -284,7 +264,8 @@ class ControlPlaneRuntime:
         if agent.lease_expires is None:
             agent.lease_expires = now + self.lease
         if not self.active:
-            # Bit-identical mirror of EchelonFlowAgent.report_echelonflow.
+            # The coordinator's object must see the same member flows
+            # the framework will emit.
             registered = self.coordinator.register(request)
             for flow in live.flows:
                 registered.add_flow(flow)
@@ -387,10 +368,6 @@ class ControlPlaneRuntime:
 
     # -- scheduling ------------------------------------------------------
 
-    def allocate_passive(self, view: SchedulerView) -> Dict[int, float]:
-        """The bit-identity path: delegates to CoordinatedScheduler.allocate."""
-        return CoordinatedScheduler(self.coordinator).allocate(view)
-
     def allocate_active(self, view: SchedulerView) -> Dict[int, float]:
         now = view.now
         self.counters["rounds"] += 1
@@ -434,6 +411,13 @@ class ControlPlaneRuntime:
         return rates
 
     def _coordinated_rates(self, view: SchedulerView) -> Dict[int, float]:
+        """One coordinator round over the merged EchelonFlow view.
+
+        The coordinator's registry (populated by agent requests) overrides
+        the engine-side one, so scheduling sees only what crossed the
+        control plane. ``quarantined`` is empty in passive mode: only
+        active rounds reach ``_check_lease``.
+        """
         merged = dict(view.echelonflows)
         merged.update(self.coordinator.echelonflows)
         for ef_id in self.quarantined:
@@ -612,11 +596,7 @@ class ControlPlaneRuntime:
             # Rebuilt from the log alone: unpinned and memberless until
             # the owning agent resyncs its live object -- schedulers
             # treat such groups as deadline-less, which is safe.
-            registry[request.ef_id] = EchelonFlow(
-                request.ef_id,
-                request.arrangement.build(),
-                job_id=request.job_id,
-            )
+            registry[request.ef_id] = request.build()
             replayed += 1
         self.counters["replayed_requests"] += replayed
         self._emit(
@@ -655,9 +635,8 @@ class ControlPlaneRuntime:
 class ControlPlaneScheduler(Scheduler):
     """Engine adapter: schedules through a :class:`ControlPlaneRuntime`.
 
-    Passive mode is bit-identical to
-    :class:`~repro.system.CoordinatedScheduler`; active mode flags every
-    invocation as a fallback so the differential twin oracle skips it
+    Passive mode runs one coordinator round per invocation; active mode
+    flags every invocation as a fallback so the differential twin oracle skips it
     (lossy control-plane rounds are intentionally not the reference
     allocation).
     """
@@ -685,7 +664,7 @@ class ControlPlaneScheduler(Scheduler):
         runtime = self.runtime
         if not runtime.active:
             self.last_allocation_was_fallback = False
-            return runtime.allocate_passive(view)
+            return runtime._coordinated_rates(view)
         self.last_allocation_was_fallback = True
         return runtime.allocate_active(view)
 

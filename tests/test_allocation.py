@@ -12,6 +12,7 @@ from repro.simulator.allocation import (
     max_min_fair,
     residual_capacities,
 )
+from repro.simulator.vector import DenseIncidence, max_min_fair_vector
 from repro.topology.graph import Link
 
 
@@ -25,6 +26,24 @@ L_CD = Link("c", "d", 4.0)
 
 
 class TestMaxMinFair:
+    def test_rounding_residue_never_freezes_a_flow_off_the_bottleneck(self):
+        # Weights 128 + 3 x 1 do not divide 1.25e9 evenly: after the first
+        # rise the shared link keeps a rounding residue above EPS, no link
+        # reads as full, and one flow is force-frozen. It must be a flow
+        # that set the rise, never the lone flow 1 on an idle link.
+        lone = Link("a", "b", 1.25e9)
+        shared = Link("c", "d", 1.25e9)
+        demands = [
+            _demand(1, [lone], weight=128.0),
+            _demand(2, [shared], weight=128.0),
+            *(_demand(fid, [shared]) for fid in (3, 4, 5)),
+        ]
+        rates = max_min_fair(demands)
+        assert rates[1] == 1.25e9
+        assert sum(rates[fid] for fid in (2, 3, 4, 5)) == pytest.approx(1.25e9)
+        vector = max_min_fair_vector(DenseIncidence(demands))
+        assert {fid: vector[fid] for fid in rates} == rates
+
     def test_single_flow_gets_bottleneck(self):
         rates = max_min_fair([_demand(1, [L_AB, L_CD])])
         assert rates[1] == pytest.approx(4.0)

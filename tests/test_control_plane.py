@@ -1,7 +1,7 @@
 """The fault-tolerant control plane: RPC channel, runtime, chaos suite.
 
 Covers the ISSUE 10 acceptance surface: seeded lossy-RPC determinism,
-passive-mode bit-identity against the direct in-process path, agent
+passive-mode bit-identity against the bare scheduler, agent
 quarantine/re-adoption, coordinator WAL-replay failover, degraded-mode
 hysteresis, the control fault grammar's gating, and topology validation
 of fault specs.
@@ -15,6 +15,11 @@ from repro.scheduling import make_scheduler
 from repro.simulator.engine import Engine
 from repro.simulator.trace import trace_digest
 from repro.system import run_cluster
+from repro.system.messages import (
+    ArrangementDescriptor,
+    ArrangementKind,
+    EchelonFlowRequest,
+)
 from repro.system.runtime import (
     ControlPlaneRuntime,
     RpcChannel,
@@ -23,7 +28,6 @@ from repro.system.runtime import (
     build_chaos_scenarios,
     parse_rpc_spec,
     run_chaos_suite,
-    run_control_cluster,
 )
 from repro.system.runtime.chaos import (
     _direct_baseline,
@@ -125,18 +129,17 @@ def test_rpc_retries_accumulate_backoff():
 
 
 # ---------------------------------------------------------------------------
-# passive mode: bit-identity with the direct path
+# passive mode: bit-identity with the bare scheduler
 # ---------------------------------------------------------------------------
 
 
 def test_passive_runtime_is_bit_identical_to_direct_path():
+    direct_jcts, direct_digest = _direct_baseline()
     with use_flow_id_allocator(FlowIdAllocator()):
-        direct = run_cluster(_topology(), _jobs())
-    with use_flow_id_allocator(FlowIdAllocator()):
-        runtime = run_control_cluster(_topology(), _jobs())
-    assert runtime.runtime.report()["mode"] == "passive"
-    assert trace_digest(runtime.trace) == trace_digest(direct.trace)
-    assert runtime.job_completion_times() == direct.job_completion_times()
+        run = run_cluster(_topology(), _jobs())
+    assert run.runtime.report()["mode"] == "passive"
+    assert trace_digest(run.trace) == direct_digest
+    assert run.job_completion_times() == direct_jcts
 
 
 def test_trace_digest_tracks_content():
@@ -185,6 +188,25 @@ def test_crash_coordinator_fails_over_via_wal(baseline):
     assert sorted(run.engine.completed_jobs) == sorted(jcts)
     kinds = [record["kind"] for record in run.runtime.control_log]
     assert "failover" in kinds and "checkpoint" in kinds
+
+
+def test_failover_replay_keeps_the_reported_weight():
+    runtime = ControlPlaneRuntime()
+    runtime.coordinator.register(
+        EchelonFlowRequest(
+            ef_id="ef",
+            job_id="j",
+            framework="j",
+            arrangement=ArrangementDescriptor(ArrangementKind.STAGGERED, (2.0,)),
+            flows=(),
+            weight=8.0,
+        )
+    )
+    # No checkpoint yet: the restore rebuilds the group from the WAL.
+    for event in FaultSchedule.parse("crash_coordinator@0.1+0.1").events:
+        runtime.apply_fault(event)
+    assert runtime.counters["replayed_requests"] == 1
+    assert runtime.coordinator.echelonflows["ef"].weight == 8.0
 
 
 def test_partition_enters_and_exits_degraded_mode(baseline):
@@ -261,7 +283,7 @@ def test_unknown_agent_target_raises_at_fire_time(baseline):
     runtime = ControlPlaneRuntime(lease=0.05 * makespan, heartbeat=0.01 * makespan)
     with use_flow_id_allocator(FlowIdAllocator()):
         with pytest.raises(ValueError, match="job-nope"):
-            run_control_cluster(
+            run_cluster(
                 _topology(),
                 _jobs(),
                 runtime=runtime,

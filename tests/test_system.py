@@ -1,7 +1,10 @@
 """The Fig. 7 system stack: messages, agent, coordinator, enforcement."""
 
+import math
+
 import pytest
 
+from repro.core import FlowIdAllocator, use_flow_id_allocator
 from repro.core.arrangement import (
     CoflowArrangement,
     PhasedArrangement,
@@ -10,21 +13,29 @@ from repro.core.arrangement import (
 )
 from repro.core.echelonflow import EchelonFlow
 from repro.core.flow import Flow
+from repro.core.units import gbps, megabytes
 from repro.scheduling import EchelonMaddScheduler, FairSharingScheduler
+from repro.simulator.engine import Engine
+from repro.simulator.trace import trace_digest
 from repro.system import (
     ArrangementDescriptor,
     ArrangementKind,
+    ControlPlaneRuntime,
     Coordinator,
-    CoordinatedScheduler,
-    EchelonFlowAgent,
     QueueEnforcedScheduler,
     allocation_error,
     quantize_to_queue,
     run_cluster,
 )
 from repro.system.messages import EchelonFlowRequest, FlowInfo
+from repro.system.runtime import chaos
 from repro.topology import big_switch, two_hosts
-from repro.workloads import build_pipeline_segment, build_dp_allreduce, uniform_model
+from repro.workloads import (
+    build_dp_allreduce,
+    build_fsdp,
+    build_pipeline_segment,
+    uniform_model,
+)
 
 
 class TestArrangementDescriptor:
@@ -55,13 +66,14 @@ class TestArrangementDescriptor:
 
 
 class TestCoordinator:
-    def _request(self, ef_id="ef"):
+    def _request(self, ef_id="ef", weight=1.0):
         return EchelonFlowRequest(
             ef_id=ef_id,
             job_id="j",
             framework="fw",
             arrangement=ArrangementDescriptor(ArrangementKind.STAGGERED, (2.0,)),
             flows=(FlowInfo(flow_id=0, src="h0", dst="h1", size=1.0, index_in_group=0),),
+            weight=weight,
         )
 
     def test_register_builds_echelonflow(self):
@@ -77,6 +89,16 @@ class TestCoordinator:
         with pytest.raises(ValueError):
             coordinator.register(self._request())
 
+    def test_register_keeps_the_weight(self):
+        coordinator = Coordinator()
+        assert coordinator.register(self._request(weight=8.0)).weight == 8.0
+
+    def test_non_finite_weight_rejected(self):
+        coordinator = Coordinator()
+        with pytest.raises(ValueError, match="weight"):
+            coordinator.register(self._request(weight=math.nan))
+        assert not coordinator.request_log
+
     def test_deregister_is_idempotent(self):
         coordinator = Coordinator()
         coordinator.register(self._request())
@@ -87,25 +109,21 @@ class TestCoordinator:
 
 class TestAgent:
     def test_report_echelonflow_registers_flows(self):
-        coordinator = Coordinator()
-        agent = EchelonFlowAgent("fw", coordinator)
-        ef = EchelonFlow("ef", StaggeredArrangement(1.0), job_id="j")
+        runtime = ControlPlaneRuntime()
+        agent = runtime.spawn_agent("fw")
+        ef = EchelonFlow("ef", StaggeredArrangement(1.0), job_id="j", weight=3.0)
         flow = Flow("h0", "h1", 5.0, group_id="ef", index_in_group=0)
         ef.add_flow(flow)
         registered = agent.report_echelonflow(ef)
-        assert registered is coordinator.echelonflows["ef"]
+        assert registered is runtime.coordinator.echelonflows["ef"]
+        assert agent.registered == {"ef": registered}
         assert registered.cardinality == 1
+        assert registered.weight == 3.0
+        (request,) = runtime.coordinator.request_log
+        assert request == EchelonFlowRequest.describe(ef, "fw")
+        assert request.flows[0].flow_id == flow.flow_id
         with pytest.raises(ValueError):
             agent.report_echelonflow(ef)
-
-    def test_enqueue_maps_rate_to_queue(self):
-        coordinator = Coordinator()
-        agent = EchelonFlowAgent("fw", coordinator, num_queues=8)
-        flow = Flow("h0", "h1", 5.0)
-        full = agent.enqueue(flow, rate=10.0, egress_capacity=10.0)
-        trickle = agent.enqueue(flow, rate=0.01, egress_capacity=10.0)
-        assert full.queue > trickle.queue
-        assert agent.enqueue_log == [full, trickle]
 
 
 class TestQueueEnforcement:
@@ -196,3 +214,73 @@ class TestClusterRun:
         finish = run.trace.last_compute_end()
         assert finish >= 8.0 - 1e-9
         assert finish <= 12.0  # bounded distortion from quantization
+
+
+E11_MODEL = uniform_model(
+    "u8",
+    8,
+    param_bytes_per_layer=megabytes(40),
+    activation_bytes=megabytes(20),
+    forward_time=0.004,
+)
+
+
+def _e11_topology():
+    return big_switch(8, gbps(10))
+
+
+def _e11_jobs():
+    """The two-job cluster of E11 (benchmarks/bench_fig7_system.py)."""
+    return [
+        (build_fsdp("fsdp-job", E11_MODEL, ["h0", "h1", "h2", "h3"]), 0.0),
+        (
+            build_dp_allreduce(
+                "dp-job", E11_MODEL, ["h4", "h5", "h6", "h7"], bucket_bytes=megabytes(80)
+            ),
+            0.01,
+        ),
+    ]
+
+
+def _weighted_chaos_jobs():
+    jobs = chaos._jobs()
+    for job, _arrival in jobs:
+        if job.job_id == "job-fsdp":
+            for echelonflow in job.echelonflows:
+                echelonflow.weight = 8.0
+    return jobs
+
+
+#: case -> (topology factory, jobs factory, WFQ enforcement).
+STACK_CASES = {
+    "chaos": (chaos._topology, chaos._jobs, False),
+    "e11-ideal": (_e11_topology, _e11_jobs, False),
+    "e11-wfq8": (_e11_topology, _e11_jobs, True),
+    "chaos-weighted": (chaos._topology, _weighted_chaos_jobs, False),
+}
+
+
+@pytest.mark.parametrize("case", list(STACK_CASES))
+def test_fig7_stack_matches_bare_scheduler(case):
+    """Agents, coordinator and runtime add nothing over the bare scheduler."""
+    make_topology, make_jobs, enforce = STACK_CASES[case]
+    with use_flow_id_allocator(FlowIdAllocator()):
+        run = run_cluster(make_topology(), make_jobs(), enforce_with_queues=enforce)
+    with use_flow_id_allocator(FlowIdAllocator()):
+        jobs = make_jobs()
+        scheduler = EchelonMaddScheduler()
+        if enforce:
+            scheduler = QueueEnforcedScheduler(scheduler)
+        engine = Engine(make_topology(), scheduler)
+        for job, arrival in jobs:
+            engine.submit(job.dag, at_time=arrival, echelonflows=job.echelonflows)
+        trace = engine.run()
+    assert trace_digest(run.trace) == trace_digest(trace)
+    assert run.job_completion_times() == {
+        job.job_id: engine.job_completion_time(job.job_id) - arrival
+        for job, arrival in jobs
+    }
+    assert run.coordinator.invocations == engine.scheduler_invocations
+    assert len(run.coordinator.request_log) == sum(
+        len(job.echelonflows) for job, _arrival in jobs
+    )
